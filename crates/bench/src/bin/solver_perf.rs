@@ -17,9 +17,12 @@
 //!
 //! `--backend dense|sparse|auto` forces the linear-solver backend
 //! (operating points are backend-independent; iteration counts change
-//! only through warm starting). `--no-warm-start` measures the cold
-//! path, `--no-gate` skips the reduction gate (used by CI smoke runs
-//! whose scale has no recorded baseline).
+//! only through warm starting). `--no-gate` skips the reduction gate
+//! (used by CI smoke runs whose scale has no recorded baseline).
+//!
+//! `warm_started_solves` counts every solve handed a starting vector:
+//! within-sweep continuation (chain/secant/quadratic) and cross-point
+//! donors alike.
 
 use pnc_bench::harness::{configure_threads_from_args, fit_bundle_traced, isolate_solver_stats};
 use pnc_bench::snapshot::{DatasetPerf, PerfSnapshot, SolverRollup};
@@ -37,7 +40,10 @@ const TRACE_SEED: u64 = 7;
 const GATE: f64 = 0.25;
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).cloned()
+    args.iter()
+        .position(|a| a == key)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
 }
 
 fn main() -> ExitCode {
@@ -54,9 +60,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if args.iter().any(|a| a == "--no-warm-start") {
-        pnc_surrogate::sampling::set_warm_start(false);
     }
     let gate = !args.iter().any(|a| a == "--no-gate");
     match run(scale, &out, &baseline, gate, threads) {
@@ -77,15 +80,10 @@ fn run(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let fidelity = scale.fidelity();
     println!(
-        "Sparse/warm-start solver benchmark — scale {}, {} AF kind(s), {} thread(s), warm start {}",
+        "Sparse/warm-start solver benchmark — scale {}, {} AF kind(s), {} thread(s)",
         scale.name(),
         AfKind::ALL.len(),
         threads,
-        if pnc_surrogate::sampling::warm_start_enabled() {
-            "on"
-        } else {
-            "off"
-        },
     );
 
     // Sequential on purpose: the trace recorder, the atlas, and the

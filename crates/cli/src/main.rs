@@ -133,11 +133,6 @@ SOLVER (all commands):
                       refactorizes numerically between Newton
                       iterations; both backends converge to the same
                       operating points.
-  --no-warm-start     Disable block-synchronous warm starting during
-                      characterization (every Sobol point then chains
-                      from its previous grid point only). Warm starts
-                      are deterministic — results stay bit-identical
-                      for any --threads either way.
 
 SOLVER OBSERVATORY (characterize and train):
   --solver-traces     Record Newton convergence traces (sampled into
@@ -506,19 +501,15 @@ fn configure_threads(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies `--solver-backend` and `--no-warm-start` to the process-wide
-/// solver defaults before any command runs. Neither changes results —
-/// both backends converge to the same operating points and warm starts
-/// are chosen deterministically — only how the work is done.
+/// Applies `--solver-backend` to the process-wide solver default before
+/// any command runs. It does not change results — both backends
+/// converge to the same operating points — only how the work is done.
 fn configure_solver(args: &Args) -> Result<(), String> {
     if let Some(name) = args.get("solver-backend") {
         let backend = pnc_spice::SolverBackend::parse(name).ok_or_else(|| {
             format!("--solver-backend: '{name}' is not one of auto, dense, sparse")
         })?;
         pnc_spice::dc::set_default_backend(backend);
-    }
-    if args.flag("no-warm-start") {
-        pnc_surrogate::sampling::set_warm_start(false);
     }
     Ok(())
 }

@@ -247,8 +247,7 @@ impl SymbolicLu {
 fn min_degree_order(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Vec<usize> {
     let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     for c in 0..n {
-        for p in col_ptr[c]..col_ptr[c + 1] {
-            let r = row_idx[p];
+        for &r in &row_idx[col_ptr[c]..col_ptr[c + 1]] {
             if r != c {
                 adj[r].insert(c);
                 adj[c].insert(r);
@@ -554,7 +553,11 @@ fn factor_with_pivoting(sym: &SymbolicLu, values: &[f64]) -> Result<FactorState,
             stack.push((r, 0));
             while let Some(&(row, cursor)) = stack.last() {
                 let k = st.pinv[row];
-                let deg = if k == UNASSIGNED { 0 } else { st.lcols[k].len() };
+                let deg = if k == UNASSIGNED {
+                    0
+                } else {
+                    st.lcols[k].len()
+                };
                 if cursor < deg {
                     if let Some(top) = stack.last_mut() {
                         top.1 += 1;
@@ -682,16 +685,17 @@ mod tests {
     /// voltage-source branch row with a structurally zero diagonal.
     fn mna_like() -> (SparsityPattern, Vec<f64>) {
         let mut b = PatternBuilder::new(3);
-        let mut slots = Vec::new();
-        // Node 0: conductances + branch coupling.
-        slots.push((b.slot(0, 0), 3.0e-4));
-        slots.push((b.slot(0, 1), -1.0e-4));
-        slots.push((b.slot(0, 2), 1.0));
-        // Node 1.
-        slots.push((b.slot(1, 0), -1.0e-4));
-        slots.push((b.slot(1, 1), 2.0e-4));
-        // Branch row: zero diagonal, needs pivoting.
-        slots.push((b.slot(2, 0), 1.0));
+        let slots = vec![
+            // Node 0: conductances + branch coupling.
+            (b.slot(0, 0), 3.0e-4),
+            (b.slot(0, 1), -1.0e-4),
+            (b.slot(0, 2), 1.0),
+            // Node 1.
+            (b.slot(1, 0), -1.0e-4),
+            (b.slot(1, 1), 2.0e-4),
+            // Branch row: zero diagonal, needs pivoting.
+            (b.slot(2, 0), 1.0),
+        ];
         let pat = b.build();
         let mut vals = pat.new_values();
         for (slot, v) in slots {

@@ -35,9 +35,7 @@
 //!   output taken at the reference-side drain: symmetric tanh-like
 //!   transfer centred at 0.
 
-use crate::dc::{
-    dc_sweep, dc_sweep_traced, linspace, solve_dc_traced, solve_dc_with, SolverConfig,
-};
+use crate::dc::{dc_sweep, linspace, sweep};
 use crate::netlist::{Circuit, NodeId};
 use crate::power::total_power;
 use crate::SpiceError;
@@ -281,26 +279,7 @@ pub fn input_grid(points: usize) -> Vec<f64> {
 /// Propagates DC convergence errors.
 pub fn transfer_curve(design: &AfDesign, inputs: &[f64]) -> Result<Vec<f64>, SpiceError> {
     let (c, src, out) = design.kind.build(design);
-    let sweep = dc_sweep(&c, src, inputs)?;
-    Ok(sweep.node_curve(out))
-}
-
-/// [`transfer_curve`] with instrumentation: with an *enabled*
-/// [`pnc_telemetry::Profiler`] each per-point DC solve records a
-/// `dc_solve` span; with a disabled handle this is exactly
-/// [`transfer_curve`].
-///
-/// # Errors
-///
-/// Propagates DC convergence errors.
-pub fn transfer_curve_traced(
-    design: &AfDesign,
-    inputs: &[f64],
-    tel: &Telemetry,
-) -> Result<Vec<f64>, SpiceError> {
-    let (c, src, out) = design.kind.build(design);
-    let sweep = dc_sweep_traced(&c, src, inputs, tel)?;
-    Ok(sweep.node_curve(out))
+    Ok(dc_sweep(&c, src, inputs)?.node_curve(out))
 }
 
 /// Simulated power curve `P(V_in)` (watts) of an AF design over
@@ -311,23 +290,7 @@ pub fn transfer_curve_traced(
 ///
 /// Propagates DC convergence errors.
 pub fn power_curve(design: &AfDesign, inputs: &[f64]) -> Result<Vec<f64>, SpiceError> {
-    power_curve_traced(design, inputs, &Telemetry::disabled())
-}
-
-/// [`power_curve`] with instrumentation: with an *enabled*
-/// [`pnc_telemetry::Profiler`] each per-point DC solve records a
-/// `dc_solve` span (Newton iterations as an attribute); with a
-/// disabled handle this is exactly [`power_curve`].
-///
-/// # Errors
-///
-/// Propagates DC convergence errors.
-pub fn power_curve_traced(
-    design: &AfDesign,
-    inputs: &[f64],
-    tel: &Telemetry,
-) -> Result<Vec<f64>, SpiceError> {
-    Ok(power_curve_with_states(design, inputs, None, tel)?.0)
+    Ok(power_curve_with_states(design, inputs, None, &Telemetry::disabled())?.0)
 }
 
 /// Mean power over the standard input grid — the scalar target the
@@ -341,117 +304,12 @@ pub fn mean_power(design: &AfDesign, grid_points: usize) -> Result<f64, SpiceErr
     Ok(p.iter().sum::<f64>() / p.len() as f64)
 }
 
-/// [`mean_power`] with instrumentation — see [`power_curve_traced`].
-///
-/// # Errors
-///
-/// Propagates DC convergence errors.
-pub fn mean_power_traced(
-    design: &AfDesign,
-    grid_points: usize,
-    tel: &Telemetry,
-) -> Result<f64, SpiceError> {
-    let p = power_curve_traced(design, &input_grid(grid_points), tel)?;
-    Ok(p.iter().sum::<f64>() / p.len() as f64)
-}
-
-/// Full solved state (`non-ground voltages ++ source currents`) of one
-/// grid point — the warm-start currency of block-synchronous
-/// characterization.
-fn solved_state(circuit: &Circuit, op: &crate::dc::OperatingPoint) -> Vec<f64> {
-    let mut state = op.all_voltages()[1..].to_vec();
-    for k in 0..circuit.branch_count() {
-        state.push(op.source_current(k));
-    }
-    state
-}
-
-/// Grid sweep core shared by the state-returning characterization
-/// entry points: sweeps `src` over `inputs`, seeding each Newton solve
-/// from the best of several continuation-style warm-start candidates:
-///
-/// * **chain** — the converged state of grid point `k−1`,
-/// * **secant** — the linear extrapolation `2·x_{k−1} − x_{k−2}` of
-///   the two previous states along the sweep (error `O(h²)` in the
-///   grid spacing, vs `O(h)` for plain chaining),
-/// * **donor slope** — `x_{k−1} + (donor[k] − donor[k−1])`: the
-///   donor design's increment along its own sweep, re-anchored to the
-///   current design (nearby designs trace near-parallel curves, so
-///   the transplanted increment is often sharper than extrapolation),
-/// * **donor** — `donor[k]` itself (the only candidate at point 0).
-///
-/// Donor states, when supplied, are the same grid solved on the
-/// coordinate-nearest already-characterized design. Per point the
-/// candidate with the smallest assembled residual wins — one cheap
-/// Jacobian-free assembly each, no factorizations. Every candidate
-/// and the ranking are pure functions of the sweep inputs, so solve
-/// trajectories stay bit-identical for any thread count. Returns one
-/// `(operating point, solved state)` per input.
-fn sweep_with_states(
-    c: &Circuit,
-    src: usize,
-    inputs: &[f64],
-    donor: Option<&[Vec<f64>]>,
-    tel: &Telemetry,
-) -> Result<Vec<(crate::dc::OperatingPoint, Vec<f64>)>, SpiceError> {
-    let trace = tel.profiler().is_enabled();
-    let cfg = SolverConfig::default();
-    let mut swept = c.clone();
-    let mut chain: Option<Vec<f64>> = None;
-    let mut chain2: Option<Vec<f64>> = None;
-    let mut chain3: Option<Vec<f64>> = None;
-    let mut out = Vec::with_capacity(inputs.len());
-    for (k, &v) in inputs.iter().enumerate() {
-        swept.set_vsource(src, v)?;
-        let mut cands: Vec<Vec<f64>> = Vec::with_capacity(5);
-        if let Some(prev) = &chain {
-            cands.push(prev.clone());
-            if let Some(prev2) = &chain2 {
-                cands.push(prev.iter().zip(prev2).map(|(a, b)| 2.0 * a - b).collect());
-                if let Some(prev3) = &chain3 {
-                    // Quadratic extrapolation over the uniform grid:
-                    // error O(h³) where the curve is smooth.
-                    cands.push(
-                        prev.iter()
-                            .zip(prev2.iter().zip(prev3))
-                            .map(|(a, (b, c))| 3.0 * a - 3.0 * b + c)
-                            .collect(),
-                    );
-                }
-            }
-            if let (Some(dk), Some(dkm1)) = (
-                donor.and_then(|d| d.get(k)),
-                k.checked_sub(1).and_then(|j| donor.and_then(|d| d.get(j))),
-            ) {
-                cands.push(
-                    prev.iter()
-                        .zip(dk.iter().zip(dkm1))
-                        .map(|(p, (a, b))| p + a - b)
-                        .collect(),
-                );
-            }
-        } else if let Some(dk) = donor.and_then(|d| d.get(k)) {
-            cands.push(dk.clone());
-        }
-        let warm = crate::dc::best_warm_candidate(&swept, &cands).map(|i| cands[i].as_slice());
-        let op = if trace {
-            solve_dc_traced(&swept, &cfg, warm, tel)?
-        } else {
-            solve_dc_with(&swept, &cfg, warm)?
-        };
-        let state = solved_state(&swept, &op);
-        chain3 = chain2.take();
-        chain2 = chain.take();
-        chain = Some(state.clone());
-        out.push((op, state));
-    }
-    Ok(out)
-}
-
-/// [`power_curve_traced`] variant that accepts donor warm-start states
-/// and returns the per-grid-point solved states alongside the power
-/// curve. With `donor = None` the solve sequence matches
-/// [`power_curve_traced`] (previous-point chaining).
+/// [`power_curve`] that also warm-starts from `donor` (the solved
+/// states of the same grid on a nearby design) and returns the solved
+/// state of every grid point alongside the curve — the currency of
+/// warm-started Sobol characterization. With an *enabled*
+/// [`pnc_telemetry::Profiler`] on `tel` each grid solve records a
+/// `dc_solve` span.
 ///
 /// # Errors
 ///
@@ -466,18 +324,19 @@ pub fn power_curve_with_states(
     let mut swept = c.clone();
     let mut powers = Vec::with_capacity(inputs.len());
     let mut states = Vec::with_capacity(inputs.len());
-    for ((op, state), &v) in sweep_with_states(&c, src, inputs, donor, tel)?
-        .into_iter()
+    for (op, &v) in sweep(&c, src, inputs, donor, tel)?
+        .points
+        .iter()
         .zip(inputs)
     {
         swept.set_vsource(src, v)?;
-        powers.push(total_power(&swept, &op));
-        states.push(state);
+        powers.push(total_power(&swept, op));
+        states.push(op.state());
     }
     Ok((powers, states))
 }
 
-/// [`mean_power_traced`] variant with donor warm-start states — see
+/// [`mean_power`] with donor warm-start states — see
 /// [`power_curve_with_states`].
 ///
 /// # Errors
@@ -493,8 +352,8 @@ pub fn mean_power_with_states(
     Ok((p.iter().sum::<f64>() / p.len() as f64, states))
 }
 
-/// [`transfer_curve_traced`] variant with donor warm-start states —
-/// see [`power_curve_with_states`].
+/// [`transfer_curve`] with donor warm-start states — see
+/// [`power_curve_with_states`].
 ///
 /// # Errors
 ///
@@ -506,13 +365,11 @@ pub fn transfer_curve_with_states(
     tel: &Telemetry,
 ) -> Result<(Vec<f64>, Vec<Vec<f64>>), SpiceError> {
     let (c, src, out) = design.kind.build(design);
-    let mut curve = Vec::with_capacity(inputs.len());
-    let mut states = Vec::with_capacity(inputs.len());
-    for (op, state) in sweep_with_states(&c, src, inputs, donor, tel)? {
-        curve.push(op.voltage(out));
-        states.push(state);
-    }
-    Ok((curve, states))
+    let points = sweep(&c, src, inputs, donor, tel)?.points;
+    Ok((
+        points.iter().map(|op| op.voltage(out)).collect(),
+        points.iter().map(|op| op.state()).collect(),
+    ))
 }
 
 /// Builds the standard-cell negation (inverter) circuit used for

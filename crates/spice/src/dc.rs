@@ -164,6 +164,14 @@ impl OperatingPoint {
         self.residual
     }
 
+    /// The solved unknown vector (`non-ground voltages ++ source
+    /// currents`) — the form a warm start takes.
+    pub(crate) fn state(&self) -> Vec<f64> {
+        let mut state = self.voltages.clone();
+        state.extend_from_slice(&self.source_currents);
+        state
+    }
+
     /// All node voltages including ground, indexed by `NodeId`.
     pub fn all_voltages(&self) -> Vec<f64> {
         let mut v = Vec::with_capacity(self.voltages.len() + 1);
@@ -252,10 +260,7 @@ fn newton_attempt_sparse(
     let mut lu: Option<SparseLu> = None;
     for iter in 0..cfg.max_iterations {
         pat.stamp(circuit, x, &mut vals, &mut f);
-        let max_resid = f
-            .iter()
-            .take(n_nodes)
-            .fold(0.0f64, |m, r| m.max(r.abs()));
+        let max_resid = f.iter().take(n_nodes).fold(0.0f64, |m, r| m.max(r.abs()));
         // Converged on arrival — see the dense attempt for the
         // rationale; the full-vector check covers the source rows.
         let full_resid = f.iter().fold(0.0f64, |m, r| m.max(r.abs()));
@@ -304,10 +309,7 @@ fn newton_attempt_sparse(
         }
     }
     pat.stamp(circuit, x, &mut vals, &mut f);
-    let resid = f
-        .iter()
-        .take(n_nodes)
-        .fold(0.0f64, |m, r| m.max(r.abs()));
+    let resid = f.iter().take(n_nodes).fold(0.0f64, |m, r| m.max(r.abs()));
     Err(SpiceError::NonConvergence {
         iterations: cfg.max_iterations,
         residual: resid,
@@ -341,64 +343,18 @@ pub fn solve_dc(circuit: &Circuit) -> Result<OperatingPoint, SpiceError> {
 }
 
 /// Solves for the DC operating point with explicit settings and an
-/// optional warm-start guess (`voltages ++ source currents`).
-///
-/// Every call updates the process-wide aggregate counters in
-/// [`crate::stats`].
+/// optional warm-start guess (`voltages ++ source currents`) — exactly
+/// [`solve_dc_traced`] with a disabled telemetry handle.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve_dc`]. A
-/// [`SpiceError::NonConvergence`] carries the *total* Newton
-/// iterations spent across the plain attempt and every ramp stage, so
-/// failure cost is attributable from the error alone.
+/// Same conditions as [`solve_dc_traced`].
 pub fn solve_dc_with(
     circuit: &Circuit,
     cfg: &SolverConfig,
     warm_start: Option<&[f64]>,
 ) -> Result<OperatingPoint, SpiceError> {
-    stats::record_solve();
-    if warm_start.is_some() {
-        stats::record_warm_start();
-    }
-    let mut cap = observe::capture_if_enabled();
-    let sw = Stopwatch::start();
-    let result = solve_dc_inner(circuit, cfg, warm_start, cap.as_mut());
-    stats::record_solve_time_ms(sw.elapsed_ms());
-    match &result {
-        Ok((op, _ramped)) => {
-            stats::record_iterations(op.iterations());
-            stats::record_success();
-        }
-        Err(SpiceError::NonConvergence { iterations, .. }) => {
-            stats::record_iterations(*iterations);
-            stats::record_failure();
-        }
-        Err(_) => stats::record_failure(),
-    }
-    observe_outcome(cap, circuit, cfg, warm_start, &result);
-    result.map(|(op, _ramped)| op)
-}
-
-/// Shared observatory tail of the solve wrappers: bumps the per-point
-/// accounting window (always — a few thread-local counter writes) and,
-/// when a capture was active, finalizes and records the trace.
-fn observe_outcome(
-    cap: Option<observe::AttemptCapture>,
-    circuit: &Circuit,
-    cfg: &SolverConfig,
-    warm_start: Option<&[f64]>,
-    result: &Result<(OperatingPoint, bool), SpiceError>,
-) {
-    let (iters, ramped, failed) = match result {
-        Ok((op, ramped)) => (op.iterations() as u64, *ramped, false),
-        Err(SpiceError::NonConvergence { iterations, .. }) => (*iterations as u64, true, true),
-        Err(_) => (0, false, true),
-    };
-    observe::record_point_solve(circuit, iters, ramped, failed);
-    if let Some(cap) = cap {
-        observe::record_trace(cap.into_trace(circuit, cfg, warm_start, result));
-    }
+    solve_dc_traced(circuit, cfg, warm_start, &Telemetry::disabled())
 }
 
 /// Runs a DC solve with trace capture *forced on*, independent of the
@@ -424,17 +380,25 @@ pub fn solve_dc_captured(
     (result.map(|(op, _ramped)| op), trace)
 }
 
-/// [`solve_dc_with`] plus per-solve telemetry: emits a `dc_solve`
-/// debug event (iterations, final residual, whether the supply-ramp
-/// fallback was engaged) on success and a `dc_solve_failed` warning on
-/// error. When the handle carries an enabled
-/// [`pnc_telemetry::Profiler`], each solve also records a `dc_solve`
-/// span with the Newton iteration count and outcome as attributes.
-/// With a disabled handle this is exactly [`solve_dc_with`].
+/// Solves for the DC operating point with explicit settings, an
+/// optional warm-start guess (`voltages ++ source currents`), and
+/// per-solve telemetry: emits a `dc_solve` debug event (iterations,
+/// final residual, whether the supply-ramp fallback was engaged) on
+/// success and a `dc_solve_failed` warning on error. When the handle
+/// carries an enabled [`pnc_telemetry::Profiler`], each solve also
+/// records a `dc_solve` span with the Newton iteration count and
+/// outcome as attributes.
+///
+/// Every call updates the process-wide aggregate counters in
+/// [`crate::stats`]; a solve handed a starting vector counts as
+/// warm-started whatever its origin.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve_dc_with`].
+/// Same conditions as [`solve_dc`]. A
+/// [`SpiceError::NonConvergence`] carries the *total* Newton
+/// iterations spent across the plain attempt and every ramp stage, so
+/// failure cost is attributable from the error alone.
 pub fn solve_dc_traced(
     circuit: &Circuit,
     cfg: &SolverConfig,
@@ -450,7 +414,7 @@ pub fn solve_dc_traced(
     let sw = Stopwatch::start();
     let result = solve_dc_inner(circuit, cfg, warm_start, cap.as_mut());
     stats::record_solve_time_ms(sw.elapsed_ms());
-    match &result {
+    let (iters, ramped) = match &result {
         Ok((op, ramped)) => {
             stats::record_iterations(op.iterations());
             stats::record_success();
@@ -463,9 +427,11 @@ pub fn solve_dc_traced(
                     .with_f64("residual", resid)
                     .with_bool("ramped", ramped)
             });
+            (iters, ramped)
         }
         Err(e) => {
             scope.set_bool("failed", true);
+            stats::record_failure();
             if let SpiceError::NonConvergence {
                 iterations,
                 residual,
@@ -480,14 +446,21 @@ pub fn solve_dc_traced(
                         .with_u64("iterations", iters as u64)
                         .with_f64("residual", resid)
                 });
+                // Newton failed from the guess, so the ramp ran.
+                (iters, true)
             } else {
                 let msg = e.to_string();
                 tel.emit(|| Event::new("dc_solve_failed", Level::Warn).with_str("error", msg));
+                (0, false)
             }
-            stats::record_failure();
         }
+    };
+    // Observatory: the per-point accounting window (always — a few
+    // thread-local counter writes) and, when capturing, the trace.
+    observe::record_point_solve(circuit, iters as u64, ramped, result.is_err());
+    if let Some(cap) = cap {
+        observe::record_trace(cap.into_trace(circuit, cfg, warm_start, &result));
     }
-    observe_outcome(cap, circuit, cfg, warm_start, &result);
     result.map(|(op, _ramped)| op)
 }
 
@@ -623,7 +596,7 @@ impl SweepResult {
 }
 
 /// Sweeps the EMF of the voltage source at element index `source_index`
-/// over `values`, warm-starting each solve with the previous solution.
+/// over `values`, warm-starting each solve from the previous solutions.
 ///
 /// # Errors
 ///
@@ -633,14 +606,14 @@ pub fn dc_sweep(
     source_index: usize,
     values: &[f64],
 ) -> Result<SweepResult, SpiceError> {
-    dc_sweep_traced(circuit, source_index, values, &Telemetry::disabled())
+    sweep(circuit, source_index, values, None, &Telemetry::disabled())
 }
 
 /// Residual inf-norm of a candidate state at the circuit's current
 /// element values: one assembly with the Jacobian entries discarded,
 /// no factorization. Cheap enough to rank several warm-start
 /// candidates per solve.
-pub(crate) fn residual_inf(circuit: &Circuit, x: &[f64]) -> f64 {
+fn residual_inf(circuit: &Circuit, x: &[f64]) -> f64 {
     struct NullSink;
     impl JacobianSink for NullSink {
         fn add(&mut self, _row: usize, _col: usize, _v: f64) {}
@@ -653,41 +626,58 @@ pub(crate) fn residual_inf(circuit: &Circuit, x: &[f64]) -> f64 {
 /// Index of the warm-start candidate with the smallest assembled
 /// residual at the target point (ties go to the earliest candidate,
 /// so the choice is deterministic). `None` when `cands` is empty.
-pub(crate) fn best_warm_candidate(circuit: &Circuit, cands: &[Vec<f64>]) -> Option<usize> {
+fn best_warm_candidate(circuit: &Circuit, cands: &[Vec<f64>]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (i, c) in cands.iter().enumerate() {
         let r = residual_inf(circuit, c);
-        if best.map_or(true, |(_, b)| r < b) {
+        if best.is_none_or(|(_, b)| r < b) {
             best = Some((i, r));
         }
     }
     best.map(|(i, _)| i)
 }
 
-/// [`dc_sweep`] with instrumentation: when `tel` carries an *enabled*
-/// [`pnc_telemetry::Profiler`], every per-point solve goes through
-/// [`solve_dc_traced`] and records a `dc_solve` span (Newton iteration
-/// count as an attribute). With a disabled profiler this is exactly
-/// [`dc_sweep`] — the per-point `dc_solve` event stream stays quiet so
-/// unprofiled structured-log output keeps its volume.
+/// The one continuation sweep behind [`dc_sweep`] and the AF curve
+/// functions: sweeps `source_index` over `values`, seeding each Newton
+/// solve from the best of these warm-start candidates:
+///
+/// * **chain** — the converged state of point `k−1`,
+/// * **secant** — `2·x_{k−1} − x_{k−2}` (error `O(h²)` in the grid
+///   spacing, vs `O(h)` for plain chaining),
+/// * **quadratic** — `3·x_{k−1} − 3·x_{k−2} + x_{k−3}` (`O(h³)` where
+///   the curve is smooth),
+/// * **donor slope** — `x_{k−1} + (donor[k] − donor[k−1])`: the donor
+///   design's increment along its own sweep, re-anchored to this
+///   circuit (nearby designs trace near-parallel curves),
+/// * **donor** — `donor[k]` itself (the only candidate at point 0).
+///
+/// `donor`, when supplied, holds the solved states (see
+/// [`OperatingPoint::state`]) of the same sweep on a nearby circuit.
+/// Per point the candidate with the smallest assembled residual wins.
+/// Every candidate and the ranking are pure functions of the inputs,
+/// so trajectories stay bit-identical for any thread count.
+///
+/// A linear circuit skips the loop: its Newton step is exact, so the
+/// sweep collapses to one factorization plus one blocked multi-RHS
+/// solve. That fast path is skipped while per-solve instrumentation is
+/// on (profiler spans or the solver observatory) — those consumers
+/// want one trace per point. Per-point `dc_solve` events and spans go
+/// to `tel` only when its profiler is enabled, so unprofiled
+/// structured-log output keeps its volume.
 ///
 /// # Errors
 ///
 /// Propagates element and convergence errors.
-pub fn dc_sweep_traced(
+pub(crate) fn sweep(
     circuit: &Circuit,
     source_index: usize,
     values: &[f64],
+    donor: Option<&[Vec<f64>]>,
     tel: &Telemetry,
 ) -> Result<SweepResult, SpiceError> {
     let trace = tel.profiler().is_enabled();
     let cfg = SolverConfig::default();
 
-    // Batched fast path: a linear circuit's Newton step is exact, so
-    // the whole sweep collapses to one factorization plus one blocked
-    // multi-RHS solve. Skipped while per-solve instrumentation is on
-    // (profiler spans or the solver observatory) — those consumers
-    // want one trace per point.
     let linear = circuit
         .elements()
         .iter()
@@ -698,20 +688,17 @@ pub fn dc_sweep_traced(
         }
     }
 
+    let quiet = Telemetry::disabled();
+    let solve_tel = if trace { tel } else { &quiet };
+    let donor_at = |k: usize| donor.and_then(|d| d.get(k));
     let mut swept = circuit.clone();
     let mut points = Vec::with_capacity(values.len());
-    // Continuation warm starts: chain each point from its predecessor
-    // and, once two points have solved, also offer the secant
-    // extrapolation of their states — whichever assembles the smaller
-    // residual seeds Newton. Purely a function of the sweep inputs, so
-    // trajectories stay deterministic.
     let mut prev: Option<Vec<f64>> = None;
     let mut prev2: Option<Vec<f64>> = None;
     let mut prev3: Option<Vec<f64>> = None;
-
-    for &v in values {
+    for (k, &v) in values.iter().enumerate() {
         swept.set_vsource(source_index, v)?;
-        let mut cands: Vec<Vec<f64>> = Vec::with_capacity(3);
+        let mut cands: Vec<Vec<f64>> = Vec::with_capacity(4);
         if let Some(p) = &prev {
             cands.push(p.clone());
             if let Some(p2) = &prev2 {
@@ -725,18 +712,22 @@ pub fn dc_sweep_traced(
                     );
                 }
             }
+            if let (Some(dk), Some(dkm1)) = (donor_at(k), k.checked_sub(1).and_then(donor_at)) {
+                cands.push(
+                    p.iter()
+                        .zip(dk.iter().zip(dkm1))
+                        .map(|(x, (a, b))| x + a - b)
+                        .collect(),
+                );
+            }
+        } else if let Some(dk) = donor_at(k) {
+            cands.push(dk.clone());
         }
         let warm = best_warm_candidate(&swept, &cands).map(|i| cands[i].as_slice());
-        let op = if trace {
-            solve_dc_traced(&swept, &cfg, warm, tel)?
-        } else {
-            solve_dc_with(&swept, &cfg, warm)?
-        };
-        let mut state = op.voltages.clone();
-        state.extend_from_slice(&op.source_currents);
+        let op = solve_dc_traced(&swept, &cfg, warm, solve_tel)?;
         prev3 = prev2.take();
         prev2 = prev.take();
-        prev = Some(state);
+        prev = Some(op.state());
         points.push(op);
     }
     Ok(SweepResult {
@@ -829,11 +820,7 @@ fn dc_sweep_linear(
 /// tests to confirm physical consistency).
 pub fn residual_norm(circuit: &Circuit, op: &OperatingPoint) -> f64 {
     let n_nodes = circuit.node_count() - 1;
-    let mut x = op.all_voltages()[1..].to_vec();
-    for k in 0..circuit.branch_count() {
-        x.push(op.source_current(k));
-    }
-    let sys = assemble(circuit, &x);
+    let sys = assemble(circuit, &op.state());
     sys.residual
         .iter()
         .take(n_nodes)
@@ -941,7 +928,6 @@ mod tests {
         let op = solve_dc(&c).unwrap();
         assert!(residual_norm(&c, &op) < 1e-9);
     }
-
 
     #[test]
     fn sweep_is_monotone_for_follower() {
@@ -1231,10 +1217,7 @@ mod tests {
         c.egt(out, vin, Circuit::GROUND, 1e-4, 2e-5);
         let cfg = SolverConfig::default();
         let cold = solve_dc_with(&c, &cfg, None).unwrap();
-        let mut state = cold.all_voltages()[1..].to_vec();
-        state.push(cold.source_current(0));
-        state.push(cold.source_current(1));
-        let warm = solve_dc_with(&c, &cfg, Some(&state)).unwrap();
+        let warm = solve_dc_with(&c, &cfg, Some(&cold.state())).unwrap();
         assert!(warm.iterations() <= cold.iterations());
     }
 }

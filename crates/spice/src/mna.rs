@@ -91,7 +91,12 @@ pub fn assemble(circuit: &Circuit, x: &[f64]) -> NewtonSystem {
 ///
 /// Panics when `x.len()` or `f.len()` differ from
 /// `unknown_count(circuit)`.
-pub(crate) fn assemble_into<S: JacobianSink>(circuit: &Circuit, x: &[f64], j: &mut S, f: &mut [f64]) {
+pub(crate) fn assemble_into<S: JacobianSink>(
+    circuit: &Circuit,
+    x: &[f64],
+    j: &mut S,
+    f: &mut [f64],
+) {
     let n_nodes = circuit.node_count() - 1;
     let n = unknown_count(circuit);
     assert_eq!(x.len(), n, "assemble: guess length mismatch");

@@ -113,7 +113,11 @@ impl CircuitPattern {
     /// circuit's topology differs from the one the pattern was built
     /// for.
     pub(crate) fn stamp(&self, circuit: &Circuit, x: &[f64], values: &mut [f64], f: &mut [f64]) {
-        assert_eq!(values.len(), self.pattern.nnz(), "stamp: value buffer mismatch");
+        assert_eq!(
+            values.len(),
+            self.pattern.nnz(),
+            "stamp: value buffer mismatch"
+        );
         for v in values.iter_mut() {
             *v = 0.0;
         }
@@ -134,8 +138,11 @@ impl CircuitPattern {
     }
 }
 
+/// Cached patterns keyed by sparsity fingerprint, in insertion order.
+type PatternCache = Mutex<Vec<(u64, Arc<CircuitPattern>)>>;
+
 // lint: allow(L003, reason = "process-wide cache of pure-topology symbolic objects; holds no per-solve numeric state, so sharing cannot perturb solve trajectories")
-static PATTERN_CACHE: OnceLock<Mutex<Vec<(u64, Arc<CircuitPattern>)>>> = OnceLock::new();
+static PATTERN_CACHE: OnceLock<PatternCache> = OnceLock::new();
 
 /// Returns the cached pattern for the circuit's topology, building and
 /// inserting it on first sight. Hits and misses feed the process-wide
@@ -147,10 +154,7 @@ pub(crate) fn cached_pattern(circuit: &Circuit) -> Arc<CircuitPattern> {
     let mut guard = cache
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some((_, p)) = guard
-        .iter()
-        .find(|(k, p)| *k == fp && p.dim() == n)
-    {
+    if let Some((_, p)) = guard.iter().find(|(k, p)| *k == fp && p.dim() == n) {
         stats::record_pattern_hit();
         return Arc::clone(p);
     }
@@ -225,7 +229,10 @@ mod tests {
         b.set_vsource(1, 0.9).unwrap();
         let pa = cached_pattern(&a);
         let pb = cached_pattern(&b);
-        assert!(Arc::ptr_eq(&pa, &pb), "same topology must share the pattern");
+        assert!(
+            Arc::ptr_eq(&pa, &pb),
+            "same topology must share the pattern"
+        );
 
         let mut other = Circuit::new();
         let p = other.node("p");

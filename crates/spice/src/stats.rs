@@ -46,7 +46,7 @@ static NEWTON_PER_SOLVE: LazyLock<StreamHistogram> =
     LazyLock::new(|| StreamHistogram::with_ticks_per_unit(1.0));
 
 /// Per-solve wall-clock time in milliseconds, recorded by every
-/// [`crate::dc::solve_dc_with`] / `solve_dc_traced` call at the
+/// [`crate::dc::solve_dc_traced`] call (and so every `solve_dc_with`) at the
 /// streamed histogram's default ns-per-ms resolution.
 // lint: allow(L003, reason = "process-wide solve-latency distribution, same lifecycle as the atomic counters above")
 static SOLVE_TIME_MS: LazyLock<StreamHistogram> = LazyLock::new(StreamHistogram::new);
@@ -78,8 +78,9 @@ pub struct SolverStatsSnapshot {
     pub pattern_hits: u64,
     /// Circuit-pattern cache misses (pattern built + analyzed).
     pub pattern_misses: u64,
-    /// Solves that started from a caller-provided warm state instead
-    /// of a cold zero guess.
+    /// Solves handed a starting vector instead of a cold zero guess:
+    /// within-sweep continuation (previous point, extrapolations) and
+    /// cross-point donors in Sobol characterization alike.
     pub warm_started_solves: u64,
 }
 

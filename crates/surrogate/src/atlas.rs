@@ -57,19 +57,6 @@ pub(crate) fn record(point: AtlasPoint) {
     POINTS.lock().unwrap().push(point);
 }
 
-/// Distance from `lnq` to its nearest neighbor among `seen`
-/// (`-1.0` when no point has been recorded yet — the first point of a
-/// sweep has no already-solved neighbor). Retained as the O(n²) oracle
-/// for the bucketed [`crate::neighbors::NeighborGrid`] that replaced it
-/// on the characterization path.
-#[cfg(test)]
-pub(crate) fn nearest_distance(seen: &[Vec<f64>], lnq: &[f64]) -> f64 {
-    seen.iter()
-        .map(|p| crate::neighbors::distance(p, lnq))
-        .min_by(f64::total_cmp)
-        .unwrap_or(-1.0)
-}
-
 /// One characterized Sobol design point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AtlasPoint {
@@ -533,13 +520,5 @@ mod tests {
         assert_eq!(pearson(&[(1.0, 5.0), (1.0, 7.0)]), 0.0);
         let corr = pearson(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);
         assert!((corr - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nearest_distance_is_minimum_log_distance() {
-        let seen = vec![vec![0.0, 0.0], vec![3.0, 4.0]];
-        assert_eq!(nearest_distance(&[], &[1.0, 1.0]), -1.0);
-        let d = nearest_distance(&seen, &[0.0, 1.0]);
-        assert!((d - 1.0).abs() < 1e-12);
     }
 }

@@ -32,7 +32,6 @@ pub mod atlas;
 pub mod error;
 pub mod mlp;
 pub mod negation;
-pub(crate) mod neighbors;
 pub mod persist;
 pub mod power_model;
 pub mod sampling;

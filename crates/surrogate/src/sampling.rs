@@ -6,16 +6,12 @@
 //! tolerated up to a small fraction (they are rare with the smooth nEGT
 //! model but can occur at extreme design corners).
 
-use crate::neighbors::NeighborGrid;
 use crate::{atlas, SurrogateError};
 use pnc_linalg::{Matrix, SobolSequence};
 use pnc_parallel::ExecutorHandle;
-use pnc_spice::af::{
-    input_grid, mean_power_with_states, power_curve, transfer_curve_with_states,
-};
+use pnc_spice::af::{input_grid, mean_power_with_states, power_curve, transfer_curve_with_states};
 use pnc_spice::{observe, AfDesign, AfKind};
 use pnc_telemetry::{Event, Level, Telemetry};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Block size of the block-synchronous warm-start schedule: points in
 /// block *b* warm-start from the coordinate-nearest solved point in
@@ -24,18 +20,26 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// bit-identical for any `--threads`.
 const WARM_BLOCK: usize = 32;
 
-// lint: allow(L003, reason = "process-wide warm-start switch; flipped once at CLI startup before characterization begins")
-static WARM_START: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables cross-point warm starting of Sobol
-/// characterization (the `--no-warm-start` CLI flag). On by default.
-pub fn set_warm_start(enabled: bool) {
-    WARM_START.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether cross-point warm starting is active.
-pub fn warm_start_enabled() -> bool {
-    WARM_START.load(Ordering::Relaxed)
+/// Nearest of `points` to `q` by Euclidean distance: `(position,
+/// distance)`, ties to the earliest position, `None` when `points` is
+/// empty. Callers query before inserting and pass points in ascending
+/// Sobol index order, so the result is a pure function of indices. A
+/// linear scan costs a few flops per point scanned, which at
+/// characterization sizes undercuts a spatial index (DESIGN.md §15).
+fn nearest<'a>(points: impl IntoIterator<Item = &'a [f64]>, q: &[f64]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, p) in points.into_iter().enumerate() {
+        let d = p
+            .iter()
+            .zip(q)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt();
+        if best.is_none_or(|(_, bd)| d.total_cmp(&bd).is_lt()) {
+            best = Some((i, d));
+        }
+    }
+    best
 }
 
 /// Emits a `sobol_progress` debug event roughly every tenth of the
@@ -71,7 +75,7 @@ fn emit_progress(
 /// of the point from the matching grid index. Because the schedule
 /// never depends on intra-block completion order, datasets stay
 /// bit-identical for any thread count; the compaction pass runs
-/// sequentially in index order exactly as before.
+/// sequentially in index order.
 ///
 /// `simulate` returns `(value, per-grid-point solved states)` or
 /// `None` on failure; `keep` receives each successful `(q, value)` in
@@ -79,20 +83,17 @@ fn emit_progress(
 fn characterize_blocked<T: Send>(
     target: &'static str,
     kind: AfKind,
-    n: usize,
     raw: &Matrix,
-    log_bounds: &[(f64, f64)],
     tel: &Telemetry,
     simulate: &(impl Fn(&AfDesign, Option<&[Vec<f64>]>) -> Option<(T, Vec<Vec<f64>>)> + Sync),
     mut keep: impl FnMut(&[f64], T),
 ) -> (usize, usize) {
+    let n = raw.rows();
     let fanout_parent = tel.profiler().current_span_id();
     let atlas_on = atlas::is_enabled();
-    let warm_on = warm_start_enabled();
 
-    // Design vectors and their log-space coordinates (the same values
-    // the compaction pass always derived — pure functions of the Sobol
-    // rows, so hoisting them out of the fan-out changes nothing).
+    // Design vectors and their log-space coordinates — pure functions
+    // of the Sobol rows.
     let qs: Vec<Vec<f64>> = (0..n)
         .map(|i| raw.row_slice(i).iter().map(|&x| x.exp()).collect())
         .collect();
@@ -101,54 +102,38 @@ fn characterize_blocked<T: Send>(
         .map(|q| q.iter().map(|&v| v.ln()).collect())
         .collect();
 
-    // One bucket-grid cell ≈ an eighth of the widest log-bounds span:
-    // coarse enough that shells stay shallow, fine enough that a
-    // bucket holds a small fraction of the sweep.
-    let span = log_bounds
-        .iter()
-        .map(|&(lo, hi)| (hi - lo).abs())
-        .fold(0.0f64, f64::max);
-    let cell = if span > 0.0 { span / 8.0 } else { 1.0 };
-    let mut donor_grid = NeighborGrid::new(cell);
+    // Published donors: Sobol indices (ascending) and, in step, their
+    // solved grid states.
+    let mut donor_ids: Vec<usize> = Vec::new();
     let mut donor_states: Vec<Vec<Vec<f64>>> = Vec::new();
-    let mut atlas_grid = NeighborGrid::new(cell);
 
     let mut kept = 0usize;
     let mut failed = 0usize;
-    let mut start = 0usize;
-    while start < n {
+    for start in (0..n).step_by(WARM_BLOCK) {
         let end = (start + WARM_BLOCK).min(n);
         let block: Vec<(usize, Option<usize>)> = (start..end)
             .map(|i| {
-                let donor = if warm_on {
-                    donor_grid.nearest(&lnqs[i]).map(|(idx, _)| idx)
-                } else {
-                    None
-                };
-                (i, donor)
+                let donors = donor_ids.iter().map(|&j| lnqs[j].as_slice());
+                (i, nearest(donors, &lnqs[i]).map(|(d, _)| d))
             })
             .collect();
 
-        let results: Vec<(Option<(T, Vec<Vec<f64>>)>, observe::PointSolveStats)> =
-            ExecutorHandle::get().par_map(&block, |_, &(i, donor)| {
-                let design =
-                    // lint: allow(L001, reason = "Sobol points are scaled into the design bounds before exponentiation")
-                    AfDesign::new(kind, qs[i].clone()).expect("Sobol points lie inside the design bounds");
-                let _point = tel.profiler().scope_under(fanout_parent, "characterize_point");
-                observe::point_window_reset();
-                let donor_ref = donor.map(|d| donor_states[d].as_slice());
-                let r = simulate(&design, donor_ref);
-                (r, observe::point_window_take())
-            });
+        let results = ExecutorHandle::get().par_map(&block, |_, &(i, donor)| {
+            let design =
+                // lint: allow(L001, reason = "Sobol points are scaled into the design bounds before exponentiation")
+                AfDesign::new(kind, qs[i].clone()).expect("Sobol points lie inside the design bounds");
+            let _point = tel.profiler().scope_under(fanout_parent, "characterize_point");
+            observe::point_window_reset();
+            let r = simulate(&design, donor.map(|d| donor_states[d].as_slice()));
+            (r, observe::point_window_take())
+        });
 
-        let mut block_states: Vec<Option<Vec<Vec<f64>>>> = Vec::with_capacity(end - start);
-        for (offset, (res, window)) in results.into_iter().enumerate() {
-            let i = start + offset;
+        // Compaction in index order; this block's successes become
+        // donors for later blocks only (never for siblings).
+        for (i, (res, window)) in (start..end).zip(results) {
             if atlas_on {
-                // Query-before-insert over *all* earlier points keeps
-                // nn_distance bit-identical to the linear scan this
-                // grid replaced.
-                let nn = atlas_grid.nearest_distance(&lnqs[i]);
+                let earlier = lnqs[..i].iter().map(Vec::as_slice);
+                let nn = nearest(earlier, &lnqs[i]).map_or(-1.0, |(_, d)| d);
                 atlas::record(atlas::AtlasPoint::from_window(
                     i as u64,
                     target,
@@ -158,33 +143,18 @@ fn characterize_blocked<T: Send>(
                     nn,
                     res.is_none(),
                 ));
-                atlas_grid.insert(lnqs[i].clone());
             }
             match res {
                 Some((value, states)) => {
                     keep(&qs[i], value);
                     kept += 1;
-                    block_states.push(Some(states));
+                    donor_ids.push(i);
+                    donor_states.push(states);
                 }
-                None => {
-                    failed += 1;
-                    block_states.push(None);
-                }
+                None => failed += 1,
             }
             emit_progress(tel, target, kind, i, n, failed);
         }
-
-        // Block boundary: publish this block's successes as donors for
-        // later blocks (never for siblings within the block).
-        if warm_on {
-            for (offset, states) in block_states.into_iter().enumerate() {
-                if let Some(s) = states {
-                    donor_grid.insert(lnqs[start + offset].clone());
-                    donor_states.push(s);
-                }
-            }
-        }
-        start = end;
     }
     (kept, failed)
 }
@@ -255,19 +225,10 @@ impl AfPowerDataset {
         let simulate = |design: &AfDesign, donor: Option<&[Vec<f64>]>| {
             mean_power_with_states(design, grid_points, donor, tel).ok()
         };
-        let (kept, failed) = characterize_blocked(
-            "power",
-            kind,
-            n,
-            &raw,
-            &log_bounds,
-            tel,
-            &simulate,
-            |q, p| {
-                designs.row_slice_mut(power.len()).copy_from_slice(q);
-                power.push(p);
-            },
-        );
+        let (kept, failed) = characterize_blocked("power", kind, &raw, tel, &simulate, |q, p| {
+            designs.row_slice_mut(power.len()).copy_from_slice(q);
+            power.push(p);
+        });
         tel.emit(|| {
             Event::new("characterization", Level::Info)
                 .with_str("target", "power")
@@ -384,9 +345,7 @@ impl AfTransferDataset {
         let (kept, failed) = characterize_blocked(
             "transfer",
             kind,
-            n,
             &raw,
-            &log_bounds,
             tel,
             &simulate,
             |q, curve: Vec<f64>| {
@@ -525,22 +484,54 @@ mod tests {
         for i in 0..n as u64 {
             assert!(points.iter().any(|p| p.index == i), "index {i} missing");
         }
+        // The Sobol sequence fixes each index's design, so every sweep
+        // of this kind records the same q at the same index.
+        let top = points.iter().map(|p| p.index).max().unwrap();
+        let mut lnq_by_index: Vec<Vec<f64>> = Vec::new();
+        for i in 0..=top {
+            let q = &points.iter().find(|p| p.index == i).unwrap().q;
+            assert!(points.iter().filter(|p| p.index == i).all(|p| &p.q == q));
+            lnq_by_index.push(q.iter().map(|v| v.ln()).collect());
+        }
         for p in &points {
             assert!(p.solves >= 1);
             assert!(p.newton_iterations >= p.solves);
             assert_eq!(p.q.len(), AfKind::PSigmoid.bounds().len());
-            // A sweep's first point has no already-solved neighbor;
-            // later points always do.
-            if p.index == 0 {
-                assert_eq!(p.nn_distance, -1.0);
-            } else {
-                assert!(p.nn_distance > 0.0);
-            }
+            // Exact nearest log-space distance over the sweep's lower
+            // indices; a sweep's first point has no such neighbor.
+            let lnq: Vec<f64> = p.q.iter().map(|v| v.ln()).collect();
+            let want = lnq_by_index[..p.index as usize]
+                .iter()
+                .map(|o| {
+                    o.iter()
+                        .zip(&lnq)
+                        .map(|(a, b)| (a - b) * (a - b))
+                        .sum::<f64>()
+                        .sqrt()
+                })
+                .fold(None, |m: Option<f64>, d| Some(m.map_or(d, |m| m.min(d))))
+                .unwrap_or(-1.0);
+            assert_eq!(p.nn_distance.to_bits(), want.to_bits(), "index {}", p.index);
         }
         // All points of one activation kind share a sparsity pattern.
         let fp = points[0].fingerprint;
         assert!(fp != 0);
         assert!(points.iter().all(|p| p.fingerprint == fp));
+    }
+
+    #[test]
+    fn nearest_of_nothing_is_none() {
+        assert_eq!(nearest(std::iter::empty(), &[0.0, 0.0]), None);
+    }
+
+    #[test]
+    fn nearest_ties_prefer_the_smallest_index() {
+        let points = [vec![3.0, 4.0], vec![1.0, 0.0], vec![-1.0, 0.0]];
+        // Indices 1 and 2 are equidistant from the origin.
+        let got = nearest(points.iter().map(Vec::as_slice), &[0.0, 0.0]);
+        assert_eq!(got, Some((1, 1.0)));
+        let got = nearest(points.iter().map(Vec::as_slice), &[0.0, 1.0]);
+        assert_eq!(got.map(|(i, _)| i), Some(1));
     }
 
     #[test]
