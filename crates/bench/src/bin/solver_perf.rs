@@ -15,10 +15,8 @@
 //!     --scale smoke --out BENCH_8.json --baseline BENCH_7.json
 //! ```
 //!
-//! `--backend dense|sparse|auto` forces the linear-solver backend
-//! (operating points are backend-independent; iteration counts change
-//! only through warm starting). `--no-gate` skips the reduction gate
-//! (used by CI smoke runs whose scale has no recorded baseline).
+//! `--no-gate` skips the reduction gate (used by CI smoke runs whose
+//! scale has no recorded baseline).
 //!
 //! `warm_started_solves` counts every solve handed a starting vector:
 //! within-sweep continuation (chain/secant/quadratic) and cross-point
@@ -52,15 +50,6 @@ fn main() -> ExitCode {
     let scale = Scale::from_args();
     let out = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_8.json".to_string());
     let baseline = arg_value(&args, "--baseline").unwrap_or_else(|| "BENCH_7.json".to_string());
-    if let Some(name) = arg_value(&args, "--backend") {
-        match pnc_spice::SolverBackend::parse(&name) {
-            Some(b) => pnc_spice::dc::set_default_backend(b),
-            None => {
-                eprintln!("error: --backend: '{name}' is not one of auto, dense, sparse");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let gate = !args.iter().any(|a| a == "--no-gate");
     match run(scale, &out, &baseline, gate, threads) {
         Ok(()) => ExitCode::SUCCESS,

@@ -125,15 +125,6 @@ PARALLELISM (all commands):
                       --threads 1 runs fully sequential). Results are
                       bit-identical for any thread count.
 
-SOLVER (all commands):
-  --solver-backend B  Linear-solver backend for DC solves: auto
-                      (default — dense below 32 unknowns, sparse
-                      above), dense, or sparse. The sparse path reuses
-                      one symbolic analysis per circuit topology and
-                      refactorizes numerically between Newton
-                      iterations; both backends converge to the same
-                      operating points.
-
 SOLVER OBSERVATORY (characterize and train):
   --solver-traces     Record Newton convergence traces (sampled into
                       runs/<id>/solver_traces.jsonl) and the per-point
@@ -472,11 +463,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match configure_threads(&args).and_then(|()| configure_solver(&args)) {
-        Ok(()) => match_command(&args),
-        Err(e) => Err(e),
-    };
-    match result {
+    match configure_threads(&args).and_then(|()| match_command(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -497,19 +484,6 @@ fn configure_threads(args: &Args) -> Result<(), String> {
             return Err("--threads must be at least 1".to_string());
         }
         ExecutorHandle::configure(n);
-    }
-    Ok(())
-}
-
-/// Applies `--solver-backend` to the process-wide solver default before
-/// any command runs. It does not change results — both backends
-/// converge to the same operating points — only how the work is done.
-fn configure_solver(args: &Args) -> Result<(), String> {
-    if let Some(name) = args.get("solver-backend") {
-        let backend = pnc_spice::SolverBackend::parse(name).ok_or_else(|| {
-            format!("--solver-backend: '{name}' is not one of auto, dense, sparse")
-        })?;
-        pnc_spice::dc::set_default_backend(backend);
     }
     Ok(())
 }

@@ -182,9 +182,8 @@ impl Lu {
     /// Solves `A·X = B` for all right-hand sides at once: one blocked
     /// forward/back-substitution sweep with the RHS columns as the
     /// inner dimension, instead of re-walking the triangular factors
-    /// per column. This is the batched-Newton building block — the
-    /// triangular factors stream through cache once per sweep, not
-    /// once per RHS.
+    /// per column: the triangular factors stream through cache once per
+    /// sweep, not once per RHS. [`Lu::inverse`] is built on it.
     ///
     /// # Errors
     ///

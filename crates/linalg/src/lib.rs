@@ -18,8 +18,8 @@
 //!   `cond1_estimate`).
 //! * [`sparse`] — pattern-reusing sparse LU (CSC storage, one-time
 //!   symbolic analysis with a fill-reducing ordering, cheap numeric
-//!   refactorization, multi-RHS solves) for MNA systems whose sparsity
-//!   pattern is fixed across thousands of solves.
+//!   refactorization) for MNA systems whose sparsity pattern is fixed
+//!   across thousands of solves.
 //! * [`qmc`] — a Sobol low-discrepancy sequence generator used to sample
 //!   activation-circuit design spaces exactly as the paper does
 //!   ("We sample 10,000 circuit configurations using a Sobol sequence").

@@ -153,12 +153,6 @@ impl SparsityPattern {
         self.slot_pos[slot]
     }
 
-    /// The full slot → position map, in slot order.
-    #[must_use]
-    pub fn slot_positions(&self) -> &[usize] {
-        &self.slot_pos
-    }
-
     /// A zeroed values buffer sized for this pattern.
     #[must_use]
     pub fn new_values(&self) -> Vec<f64> {
@@ -352,13 +346,6 @@ impl SparseLu {
         self.n
     }
 
-    /// Nonzeros in the computed factors (`L` strict + `U` strict +
-    /// diagonal) — the fill-in telemetry number.
-    #[must_use]
-    pub fn factor_nnz(&self) -> usize {
-        self.l_rows.len() + self.u_rows.len() + self.n
-    }
-
     /// Recomputes the numeric factors for new `values` over the frozen
     /// structure. Returns `Ok(true)` when the cheap structure-reusing
     /// sweep succeeded, `Ok(false)` when pivot drift forced an internal
@@ -461,65 +448,6 @@ impl SparseLu {
             x[self.sym.perm[j]] = c[j];
         }
         Ok(x)
-    }
-
-    /// Multi-RHS solve: one blocked forward/back-substitution sweep for
-    /// all columns of `rhs` (the substitution loops run once, with the
-    /// RHS columns as the inner dimension).
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when `rhs` has the wrong row
-    /// count.
-    pub fn solve_matrix(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if rhs.rows() != self.n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "sparse_solve_matrix",
-                lhs: (self.n, self.n),
-                rhs: (rhs.rows(), rhs.cols()),
-            });
-        }
-        let n = self.n;
-        let m = rhs.cols();
-        // Row-major scratch: row k holds the k-th permuted equation for
-        // every RHS column.
-        let mut c = vec![0.0; n * m];
-        for k in 0..n {
-            let src = self.sym.perm[self.row_perm[k]];
-            for j in 0..m {
-                c[k * m + j] = rhs[(src, j)];
-            }
-        }
-        for k in 0..n {
-            for p in self.l_colptr[k]..self.l_colptr[k + 1] {
-                let i = self.l_rows[p];
-                let lv = self.l_vals[p];
-                for j in 0..m {
-                    c[i * m + j] -= lv * c[k * m + j];
-                }
-            }
-        }
-        for k in (0..n).rev() {
-            let d = self.u_diag[k];
-            for j in 0..m {
-                c[k * m + j] /= d;
-            }
-            for p in self.u_colptr[k]..self.u_colptr[k + 1] {
-                let i = self.u_rows[p];
-                let uv = self.u_vals[p];
-                for j in 0..m {
-                    c[i * m + j] -= uv * c[k * m + j];
-                }
-            }
-        }
-        let mut out = Matrix::zeros(n, m);
-        for k in 0..n {
-            let dst = self.sym.perm[k];
-            for j in 0..m {
-                out[(dst, j)] = c[k * m + j];
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -794,22 +722,6 @@ mod tests {
         let dense = Lu::new(&pat.to_dense(&vals2)).expect("dense");
         let xd = dense.solve(&[1.0, 2.0]).expect("dense solve");
         assert!(max_rel_err(&x, &xd) < 1e-10, "{x:?} vs {xd:?}");
-    }
-
-    #[test]
-    fn solve_matrix_matches_column_solves() {
-        let (pat, vals) = mna_like();
-        let sym = Arc::new(SymbolicLu::analyze(&pat));
-        let lu = SparseLu::factorize(&sym, &vals).expect("factorize");
-        let rhs = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 1.0, -1.0], &[0.0, 0.0, 0.5]]);
-        let x = lu.solve_matrix(&rhs).expect("multi-RHS");
-        for j in 0..3 {
-            let col: Vec<f64> = (0..3).map(|i| rhs[(i, j)]).collect();
-            let xc = lu.solve(&col).expect("column solve");
-            for i in 0..3 {
-                assert!((x[(i, j)] - xc[i]).abs() < 1e-14);
-            }
-        }
     }
 
     #[test]

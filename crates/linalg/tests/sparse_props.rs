@@ -141,26 +141,4 @@ proptest! {
         // And the structure still matches the first factorization's.
         prop_assert_eq!(slu.dim(), dense.rows());
     }
-
-    #[test]
-    fn multi_rhs_solve_matches_column_solves(
-        seed in 0u64..100_000,
-        nodes in 1usize..10,
-        cols in 1usize..6,
-    ) {
-        let (pattern, values, _) = mna_system(seed, seed, nodes, 1);
-        let n = pattern.dim();
-        let sym = Arc::new(SymbolicLu::analyze(&pattern));
-        let slu = SparseLu::factorize(&sym, &values).unwrap();
-        let rhs_m = Matrix::from_fn(n, cols, |i, j| entry(seed ^ 0x55AA, (i * cols + j) as u64));
-        let solved = slu.solve_matrix(&rhs_m).unwrap();
-        for j in 0..cols {
-            let col: Vec<f64> = (0..n).map(|i| rhs_m[(i, j)]).collect();
-            let x = slu.solve(&col).unwrap();
-            for i in 0..n {
-                let d = (solved[(i, j)] - x[i]).abs();
-                prop_assert!(d < 1e-12, "blocked column {j} row {i} off by {d}");
-            }
-        }
-    }
 }

@@ -5,93 +5,25 @@ use crate::mna::{assemble, assemble_into, node_voltage, unknown_count, JacobianS
 use crate::netlist::{Circuit, Element};
 use crate::pattern::{self, CircuitPattern};
 use crate::{observe, stats, SpiceError};
+use pnc_linalg::cond::cond1_estimate;
 use pnc_linalg::decomp::Lu;
 use pnc_linalg::sparse::SparseLu;
 use pnc_linalg::Matrix;
 use pnc_telemetry::{Event, Level, Stopwatch, Telemetry};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 
-/// Smallest MNA dimension for which [`SolverBackend::Auto`] picks the
-/// sparse backend. The paper's activation circuits assemble 4–8 unknown
-/// systems where dense LU wins outright; sparse pattern reuse pays off
-/// once fill and O(n³) dense cost dominate the stamp cost.
+/// Smallest MNA dimension solved with sparse LU; smaller systems use
+/// dense LU. The paper's activation circuits assemble 4–8 unknowns,
+/// where dense LU wins outright; exported networks assemble 70 and
+/// more, where sparse pattern reuse pays off once fill and O(n³) dense
+/// cost dominate the stamp cost.
 pub const SPARSE_MIN_DIM: usize = 32;
 
-/// Linear-system backend used inside the Newton loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Decide per circuit: the process-wide override from
-    /// [`set_default_backend`] when one is set, otherwise sparse for
-    /// systems of at least [`SPARSE_MIN_DIM`] unknowns and dense below.
-    #[default]
-    Auto,
-    /// Dense LU with partial pivoting — the original path and the
-    /// property-test oracle.
-    Dense,
-    /// Pattern-reusing sparse LU (one symbolic analysis per circuit
-    /// topology, numeric refactorization per iteration).
-    Sparse,
-}
-
-impl SolverBackend {
-    /// Canonical lower-case name (CLI flag value, trace field).
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverBackend::Auto => "auto",
-            SolverBackend::Dense => "dense",
-            SolverBackend::Sparse => "sparse",
-        }
-    }
-
-    /// Parses a backend name as accepted by `--solver-backend`.
-    pub fn parse(s: &str) -> Option<SolverBackend> {
-        match s {
-            "auto" => Some(SolverBackend::Auto),
-            "dense" => Some(SolverBackend::Dense),
-            "sparse" => Some(SolverBackend::Sparse),
-            _ => None,
-        }
-    }
-}
-
-// lint: allow(L003, reason = "process-wide backend override set once at CLI startup before any solves; per-solve state stays in SolverConfig")
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide backend used when a [`SolverConfig`] leaves
-/// `backend` at [`SolverBackend::Auto`] (the `--solver-backend` CLI
-/// flag). Passing [`SolverBackend::Auto`] restores the size-based rule.
-pub fn set_default_backend(backend: SolverBackend) {
-    let code = match backend {
-        SolverBackend::Auto => 0,
-        SolverBackend::Dense => 1,
-        SolverBackend::Sparse => 2,
-    };
-    DEFAULT_BACKEND.store(code, Ordering::Relaxed);
-}
-
-fn default_backend() -> SolverBackend {
-    match DEFAULT_BACKEND.load(Ordering::Relaxed) {
-        1 => SolverBackend::Dense,
-        2 => SolverBackend::Sparse,
-        _ => SolverBackend::Auto,
-    }
-}
-
-/// Resolves `Auto` to a concrete backend for a system of `dim` unknowns.
-fn resolve_backend(requested: SolverBackend, dim: usize) -> SolverBackend {
-    match requested {
-        SolverBackend::Auto => match default_backend() {
-            SolverBackend::Auto => {
-                if dim >= SPARSE_MIN_DIM {
-                    SolverBackend::Sparse
-                } else {
-                    SolverBackend::Dense
-                }
-            }
-            explicit => explicit,
-        },
-        explicit => explicit,
-    }
+/// The factorization rule: the circuit's cached sparsity pattern when
+/// it has at least [`SPARSE_MIN_DIM`] unknowns (solve with sparse LU),
+/// `None` below that (solve with dense LU).
+fn pattern_for(circuit: &Circuit) -> Option<Arc<CircuitPattern>> {
+    (unknown_count(circuit) >= SPARSE_MIN_DIM).then(|| pattern::cached_pattern(circuit))
 }
 
 /// Newton iteration limits and tolerances.
@@ -107,10 +39,6 @@ pub struct SolverConfig {
     pub max_step_volts: f64,
     /// Number of supply-ramp stages used when the cold start fails.
     pub ramp_stages: usize,
-    /// Linear-system backend; solve traces record the *resolved*
-    /// choice, never `Auto`, so replays re-run the backend that
-    /// actually produced the trajectory.
-    pub backend: SolverBackend,
 }
 
 impl Default for SolverConfig {
@@ -121,7 +49,6 @@ impl Default for SolverConfig {
             step_tol_volts: 1e-10,
             max_step_volts: 0.4,
             ramp_stages: 8,
-            backend: SolverBackend::Auto,
         }
     }
 }
@@ -181,34 +108,139 @@ impl OperatingPoint {
     }
 }
 
-/// One damped Newton descent. Returns `(iterations, residual)` on
-/// convergence; the residual is the KCL norm that passed the test.
+/// The linear algebra under one Newton attempt. Dense assembles a full
+/// Jacobian and factors it afresh every iteration. Sparse stamps into
+/// the circuit's cached pattern, whose preallocated value slots and
+/// shared symbolic factorization serve every iteration: the first
+/// iteration factorizes numerically, later ones refactorize in place
+/// (a fresh pivot order only on pivot drift). Numeric factor state
+/// lives in the attempt's frame — nothing per-solve is shared across
+/// threads.
+enum Linear<'p> {
+    Dense {
+        jacobian: Matrix,
+        lu: Option<Lu>,
+    },
+    Sparse {
+        pat: &'p CircuitPattern,
+        values: Vec<f64>,
+        lu: Option<SparseLu>,
+    },
+}
+
+impl<'p> Linear<'p> {
+    fn new(pat: Option<&'p CircuitPattern>) -> Self {
+        match pat {
+            Some(pat) => Linear::Sparse {
+                pat,
+                values: pat.new_values(),
+                lu: None,
+            },
+            None => Linear::Dense {
+                jacobian: Matrix::zeros(0, 0),
+                lu: None,
+            },
+        }
+    }
+
+    /// Assembles the Jacobian of `circuit` at `x`, keeping it for
+    /// [`Self::solve`], and writes the residual into `f`.
+    fn assemble(&mut self, circuit: &Circuit, x: &[f64], f: &mut Vec<f64>) {
+        match self {
+            Linear::Dense { jacobian, .. } => {
+                let sys = assemble(circuit, x);
+                *jacobian = sys.jacobian;
+                *f = sys.residual;
+            }
+            Linear::Sparse { pat, values, .. } => pat.stamp(circuit, x, values, f),
+        }
+    }
+
+    /// Factors the assembled Jacobian and solves `J·dx = rhs`.
+    fn solve(&mut self, rhs: &[f64]) -> Result<Vec<f64>, SpiceError> {
+        let singular = |_| SpiceError::SingularMatrix;
+        match self {
+            Linear::Dense { jacobian, lu } => {
+                let lu = lu.insert(Lu::new(jacobian).map_err(singular)?);
+                lu.solve(rhs).map_err(singular)
+            }
+            Linear::Sparse { pat, values, lu } => {
+                let lu = match lu {
+                    None => {
+                        let fresh =
+                            SparseLu::factorize(pat.symbolic(), values).map_err(singular)?;
+                        stats::record_factorization();
+                        lu.insert(fresh)
+                    }
+                    Some(l) => {
+                        if l.refactorize(values).map_err(singular)? {
+                            stats::record_refactorization();
+                        } else {
+                            stats::record_factorization();
+                        }
+                        l
+                    }
+                };
+                lu.solve(rhs).map_err(singular)
+            }
+        }
+    }
+
+    /// `(dimension, structural non-zeros)` of the Jacobian: the bit-exact
+    /// non-zeros of the assembled dense matrix, or the sparse pattern's.
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Linear::Dense { jacobian, .. } => {
+                // lint: allow(L002, reason = "sparsity counting: only a bit-exact zero is a structural zero")
+                let nnz = jacobian.as_slice().iter().filter(|&&v| v != 0.0).count();
+                (jacobian.rows(), nnz)
+            }
+            Linear::Sparse { pat, .. } => (pat.dim(), pat.nnz()),
+        }
+    }
+
+    /// Conditioning estimate from the factors the step already paid
+    /// for. The Hager/Higham probe needs dense factors, so sparse
+    /// reports none.
+    fn cond1_estimate(&self) -> Option<f64> {
+        match self {
+            Linear::Dense {
+                jacobian,
+                lu: Some(lu),
+            } => cond1_estimate(jacobian, lu).ok(),
+            _ => None,
+        }
+    }
+}
+
+/// One damped Newton descent, on sparse LU when `pat` is given and
+/// dense LU otherwise. Returns `(iterations, residual)` on convergence;
+/// the residual is the KCL norm that passed the test.
 fn newton_attempt(
     circuit: &Circuit,
+    pat: Option<&CircuitPattern>,
     x: &mut [f64],
     cfg: &SolverConfig,
     mut cap: Option<&mut observe::AttemptCapture>,
 ) -> Result<(usize, f64), SpiceError> {
     let n_nodes = circuit.node_count() - 1;
+    let node_resid = |f: &[f64]| f.iter().take(n_nodes).fold(0.0f64, |m, r| m.max(r.abs()));
+    let mut lin = Linear::new(pat);
+    let mut f = vec![0.0; x.len()];
     for iter in 0..cfg.max_iterations {
-        let sys = assemble(circuit, x);
-        let max_resid = sys
-            .residual
-            .iter()
-            .take(n_nodes)
-            .fold(0.0f64, |m, r| m.max(r.abs()));
+        lin.assemble(circuit, x, &mut f);
+        let max_resid = node_resid(&f);
         // Converged on arrival: every equation — including the linear
         // source rows, which a warm start from a different sweep point
         // leaves violated — is satisfied at `x`, so the step would be
         // ~0 and the factorization pure confirmation. Well-predicted
         // warm starts land here one iteration early.
-        let full_resid = sys.residual.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+        let full_resid = f.iter().fold(0.0f64, |m, r| m.max(r.abs()));
         if full_resid < cfg.residual_tol_amps {
             return Ok((iter, max_resid));
         }
-        let lu = Lu::new(&sys.jacobian).map_err(|_| SpiceError::SingularMatrix)?;
-        let neg_f: Vec<f64> = sys.residual.iter().map(|r| -r).collect();
-        let dx = lu.solve(&neg_f).map_err(|_| SpiceError::SingularMatrix)?;
+        let neg_f: Vec<f64> = f.iter().map(|r| -r).collect();
+        let dx = lin.solve(&neg_f)?;
 
         // Damping: limit voltage updates; currents move freely.
         let max_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
@@ -218,7 +250,13 @@ fn newton_attempt(
             1.0
         };
         if let Some(c) = cap.as_deref_mut() {
-            c.record_iteration(&sys.jacobian, &lu, max_resid, max_dv * scale, scale < 1.0);
+            c.record_iteration(
+                || lin.shape(),
+                lin.cond1_estimate(),
+                max_resid,
+                max_dv * scale,
+                scale < 1.0,
+            );
         }
         for (xi, di) in x.iter_mut().zip(&dx) {
             *xi += scale * di;
@@ -228,106 +266,11 @@ fn newton_attempt(
             return Ok((iter + 1, max_resid));
         }
     }
-    let sys = assemble(circuit, x);
-    let resid = sys
-        .residual
-        .iter()
-        .take(n_nodes)
-        .fold(0.0f64, |m, r| m.max(r.abs()));
+    lin.assemble(circuit, x, &mut f);
     Err(SpiceError::NonConvergence {
         iterations: cfg.max_iterations,
-        residual: resid,
+        residual: node_resid(&f),
     })
-}
-
-/// [`newton_attempt`] on the sparse backend: the circuit's cached
-/// pattern supplies preallocated value slots and the shared symbolic
-/// factorization; the first iteration factorizes numerically, later
-/// iterations refactorize in place (falling back to a fresh pivot
-/// order only on pivot drift). Numeric factor state lives entirely in
-/// this frame — nothing per-solve is shared across threads.
-fn newton_attempt_sparse(
-    circuit: &Circuit,
-    pat: &CircuitPattern,
-    x: &mut [f64],
-    cfg: &SolverConfig,
-    mut cap: Option<&mut observe::AttemptCapture>,
-) -> Result<(usize, f64), SpiceError> {
-    let n_nodes = circuit.node_count() - 1;
-    let n = x.len();
-    let mut vals = pat.new_values();
-    let mut f = vec![0.0; n];
-    let mut lu: Option<SparseLu> = None;
-    for iter in 0..cfg.max_iterations {
-        pat.stamp(circuit, x, &mut vals, &mut f);
-        let max_resid = f.iter().take(n_nodes).fold(0.0f64, |m, r| m.max(r.abs()));
-        // Converged on arrival — see the dense attempt for the
-        // rationale; the full-vector check covers the source rows.
-        let full_resid = f.iter().fold(0.0f64, |m, r| m.max(r.abs()));
-        if full_resid < cfg.residual_tol_amps {
-            return Ok((iter, max_resid));
-        }
-        let lu_ref = match lu.as_mut() {
-            None => {
-                let fresh = SparseLu::factorize(pat.symbolic(), &vals)
-                    .map_err(|_| SpiceError::SingularMatrix)?;
-                stats::record_factorization();
-                lu.insert(fresh)
-            }
-            Some(l) => {
-                let reused = l
-                    .refactorize(&vals)
-                    .map_err(|_| SpiceError::SingularMatrix)?;
-                if reused {
-                    stats::record_refactorization();
-                } else {
-                    stats::record_factorization();
-                }
-                l
-            }
-        };
-        let neg_f: Vec<f64> = f.iter().map(|r| -r).collect();
-        let dx = lu_ref
-            .solve(&neg_f)
-            .map_err(|_| SpiceError::SingularMatrix)?;
-
-        let max_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
-        let scale = if max_dv > cfg.max_step_volts {
-            cfg.max_step_volts / max_dv
-        } else {
-            1.0
-        };
-        if let Some(c) = cap.as_deref_mut() {
-            c.record_iteration_sparse(pat.dim(), pat.nnz(), max_resid, max_dv * scale, scale < 1.0);
-        }
-        for (xi, di) in x.iter_mut().zip(&dx) {
-            *xi += scale * di;
-        }
-
-        if max_resid < cfg.residual_tol_amps && max_dv * scale < cfg.step_tol_volts {
-            return Ok((iter + 1, max_resid));
-        }
-    }
-    pat.stamp(circuit, x, &mut vals, &mut f);
-    let resid = f.iter().take(n_nodes).fold(0.0f64, |m, r| m.max(r.abs()));
-    Err(SpiceError::NonConvergence {
-        iterations: cfg.max_iterations,
-        residual: resid,
-    })
-}
-
-/// Dispatches one Newton attempt to the resolved backend.
-fn run_attempt(
-    circuit: &Circuit,
-    pat: Option<&CircuitPattern>,
-    x: &mut [f64],
-    cfg: &SolverConfig,
-    cap: Option<&mut observe::AttemptCapture>,
-) -> Result<(usize, f64), SpiceError> {
-    match pat {
-        Some(p) => newton_attempt_sparse(circuit, p, x, cfg, cap),
-        None => newton_attempt(circuit, x, cfg, cap),
-    }
 }
 
 /// Solves for the DC operating point with default solver settings.
@@ -375,7 +318,13 @@ pub fn solve_dc_captured(
     warm_start: Option<&[f64]>,
 ) -> (Result<OperatingPoint, SpiceError>, observe::SolveTrace) {
     let mut cap = observe::AttemptCapture::new();
-    let result = solve_dc_inner(circuit, cfg, warm_start, Some(&mut cap));
+    let result = solve_dc_inner(
+        circuit,
+        pattern_for(circuit).as_deref(),
+        cfg,
+        warm_start,
+        Some(&mut cap),
+    );
     let trace = cap.into_trace(circuit, cfg, warm_start, &result);
     (result.map(|(op, _ramped)| op), trace)
 }
@@ -412,7 +361,13 @@ pub fn solve_dc_traced(
     }
     let mut cap = observe::capture_if_enabled();
     let sw = Stopwatch::start();
-    let result = solve_dc_inner(circuit, cfg, warm_start, cap.as_mut());
+    let result = solve_dc_inner(
+        circuit,
+        pattern_for(circuit).as_deref(),
+        cfg,
+        warm_start,
+        cap.as_mut(),
+    );
     stats::record_solve_time_ms(sw.elapsed_ms());
     let (iters, ramped) = match &result {
         Ok((op, ramped)) => {
@@ -465,9 +420,12 @@ pub fn solve_dc_traced(
 }
 
 /// Core solve: returns the operating point and whether the ramp
-/// fallback was engaged.
+/// fallback was engaged. Every attempt — the plain one and each ramp
+/// stage — factors on sparse LU over `pat` when given ([`pattern_for`]
+/// decides), dense LU otherwise.
 fn solve_dc_inner(
     circuit: &Circuit,
+    pat: Option<&CircuitPattern>,
     cfg: &SolverConfig,
     warm_start: Option<&[f64]>,
     mut cap: Option<&mut observe::AttemptCapture>,
@@ -478,19 +436,6 @@ fn solve_dc_inner(
     }
     let n_nodes = circuit.node_count() - 1;
 
-    // Resolve the backend once per solve; every attempt (plain and
-    // every ramp stage) uses the same resolved choice, and the capture
-    // records it so replays re-run the path that produced the trace.
-    let backend = resolve_backend(cfg.backend, n);
-    if let Some(c) = cap.as_deref_mut() {
-        c.set_backend(backend);
-    }
-    let pat = match backend {
-        SolverBackend::Sparse => Some(pattern::cached_pattern(circuit)),
-        _ => None,
-    };
-    let pat = pat.as_deref();
-
     let mut x = match warm_start {
         Some(ws) if ws.len() == n => ws.to_vec(),
         _ => vec![0.0; n],
@@ -498,7 +443,7 @@ fn solve_dc_inner(
 
     // Attempt 1: plain Newton from the guess.
     let mut total_iters = 0usize;
-    match run_attempt(circuit, pat, &mut x, cfg, cap.as_deref_mut()) {
+    match newton_attempt(circuit, pat, &mut x, cfg, cap.as_deref_mut()) {
         Ok((iters, residual)) => {
             return Ok((
                 OperatingPoint {
@@ -543,7 +488,7 @@ fn solve_dc_inner(
         }
         // The ramped clone only rescales source values, so it shares
         // the original topology — and therefore the same pattern.
-        match run_attempt(&ramped, pat, &mut x, cfg, cap.as_deref_mut()) {
+        match newton_attempt(&ramped, pat, &mut x, cfg, cap.as_deref_mut()) {
             Ok((iters, residual)) => {
                 total_iters += iters;
                 final_residual = residual;
@@ -657,13 +602,9 @@ fn best_warm_candidate(circuit: &Circuit, cands: &[Vec<f64>]) -> Option<usize> {
 /// Every candidate and the ranking are pure functions of the inputs,
 /// so trajectories stay bit-identical for any thread count.
 ///
-/// A linear circuit skips the loop: its Newton step is exact, so the
-/// sweep collapses to one factorization plus one blocked multi-RHS
-/// solve. That fast path is skipped while per-solve instrumentation is
-/// on (profiler spans or the solver observatory) — those consumers
-/// want one trace per point. Per-point `dc_solve` events and spans go
-/// to `tel` only when its profiler is enabled, so unprofiled
-/// structured-log output keeps its volume.
+/// Per-point `dc_solve` events and spans go to `tel` only when its
+/// profiler is enabled, so unprofiled structured-log output keeps its
+/// volume.
 ///
 /// # Errors
 ///
@@ -677,17 +618,6 @@ pub(crate) fn sweep(
 ) -> Result<SweepResult, SpiceError> {
     let trace = tel.profiler().is_enabled();
     let cfg = SolverConfig::default();
-
-    let linear = circuit
-        .elements()
-        .iter()
-        .all(|e| !matches!(e, Element::Egt { .. }));
-    if linear && !trace && !observe::is_enabled() {
-        if let Some(res) = dc_sweep_linear(circuit, source_index, values, &cfg)? {
-            return Ok(res);
-        }
-    }
-
     let quiet = Telemetry::disabled();
     let solve_tel = if trace { tel } else { &quiet };
     let donor_at = |k: usize| donor.and_then(|d| d.get(k));
@@ -734,86 +664,6 @@ pub(crate) fn sweep(
         inputs: values.to_vec(),
         points,
     })
-}
-
-/// The batched Newton step behind the linear-sweep fast path: for a
-/// linear circuit `f(x) = A·x − b`, assembling at `x = 0` yields the
-/// constant Jacobian `A` and residual `−b`, so one factorization plus
-/// one blocked multi-RHS solve ([`Lu::solve_matrix`]) lands every sweep
-/// point exactly. Each accepted column is verified against the Newton
-/// residual tolerance; returns `Ok(None)` (fall back to the iterative
-/// path) when the factorization fails or any column misses tolerance.
-fn dc_sweep_linear(
-    circuit: &Circuit,
-    source_index: usize,
-    values: &[f64],
-    cfg: &SolverConfig,
-) -> Result<Option<SweepResult>, SpiceError> {
-    let n = unknown_count(circuit);
-    if n == 0 || values.is_empty() {
-        return Ok(None);
-    }
-    let n_nodes = circuit.node_count() - 1;
-    let sw = Stopwatch::start();
-    let x0 = vec![0.0; n];
-    let mut swept = circuit.clone();
-
-    // The Jacobian of a linear circuit is independent of the swept
-    // source value (EMFs enter only the residual), so the factors from
-    // the first sweep point serve all of them.
-    swept.set_vsource(source_index, values[0])?;
-    let first = assemble(&swept, &x0);
-    let Ok(lu) = Lu::new(&first.jacobian) else {
-        return Ok(None);
-    };
-
-    let mut rhs = Matrix::zeros(n, values.len());
-    for (col, &v) in values.iter().enumerate() {
-        swept.set_vsource(source_index, v)?;
-        let sys = assemble(&swept, &x0);
-        for row in 0..n {
-            rhs[(row, col)] = -sys.residual[row];
-        }
-    }
-    let Ok(solutions) = lu.solve_matrix(&rhs) else {
-        return Ok(None);
-    };
-
-    let mut points = Vec::with_capacity(values.len());
-    for (col, &v) in values.iter().enumerate() {
-        let x: Vec<f64> = (0..n).map(|row| solutions[(row, col)]).collect();
-        swept.set_vsource(source_index, v)?;
-        let sys = assemble(&swept, &x);
-        let resid = sys
-            .residual
-            .iter()
-            .take(n_nodes)
-            .fold(0.0f64, |m, r| m.max(r.abs()));
-        if resid >= cfg.residual_tol_amps {
-            return Ok(None);
-        }
-        points.push(OperatingPoint {
-            voltages: x[..n_nodes].to_vec(),
-            source_currents: x[n_nodes..].to_vec(),
-            iterations: 1,
-            residual: resid,
-        });
-    }
-
-    // Aggregate accounting keeps the iterative path's per-point shape:
-    // one solve and one (batched) Newton iteration per sweep value.
-    let per_point_ms = sw.elapsed_ms() / values.len() as f64;
-    for _ in values {
-        stats::record_solve();
-        stats::record_iterations(1);
-        stats::record_success();
-        stats::record_solve_time_ms(per_point_ms);
-        observe::record_point_solve(circuit, 1, false, false);
-    }
-    Ok(Some(SweepResult {
-        inputs: values.to_vec(),
-        points,
-    }))
 }
 
 /// Convenience: evaluates the KCL residual norm at a solution (used in
@@ -1088,6 +938,42 @@ mod tests {
         assert_eq!(fails[0].get_u64("iterations"), Some(3));
     }
 
+    /// `cells` p-tanh cells on shared ±1 V rails, each driven by its
+    /// own input source: 4 + 5·`cells` unknowns, nonlinear throughout.
+    fn tanh_bank(cells: usize) -> Circuit {
+        let kind = crate::AfKind::PTanh;
+        let design = kind.default_design();
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let vss = c.node("vss");
+        c.vsource(vdd, Circuit::GROUND, crate::af::VDD);
+        c.vsource(vss, Circuit::GROUND, crate::af::VSS);
+        for k in 0..cells {
+            let vin = c.node(&format!("in{k}"));
+            c.vsource(vin, Circuit::GROUND, -0.8 + 0.3 * k as f64);
+            kind.attach(&mut c, design.q(), vdd, vss, vin);
+        }
+        c
+    }
+
+    #[test]
+    fn size_rule_picks_the_factorization() {
+        let bank = tanh_bank(6);
+        assert!(unknown_count(&bank) >= SPARSE_MIN_DIM);
+        assert!(pattern_for(&bank).is_some(), "large circuit must go sparse");
+
+        let mut divider = Circuit::new();
+        let vin = divider.node("in");
+        let out = divider.node("out");
+        divider.vsource(vin, Circuit::GROUND, 1.0);
+        divider.resistor(vin, out, 1_000.0);
+        divider.resistor(out, Circuit::GROUND, 1_000.0);
+        assert!(
+            pattern_for(&divider).is_none(),
+            "2-node divider must stay dense"
+        );
+    }
+
     #[test]
     fn sparse_backend_matches_dense() {
         let mut c = Circuit::new();
@@ -1099,81 +985,81 @@ mod tests {
         c.resistor(vdd, out, 100_000.0);
         c.egt(out, vin, Circuit::GROUND, 2e-4, 2e-5);
 
-        let dense_cfg = SolverConfig {
-            backend: SolverBackend::Dense,
-            ..SolverConfig::default()
-        };
-        let sparse_cfg = SolverConfig {
-            backend: SolverBackend::Sparse,
-            ..SolverConfig::default()
-        };
-        let d = solve_dc_with(&c, &dense_cfg, None).unwrap();
-        let s = solve_dc_with(&c, &sparse_cfg, None).unwrap();
+        let cfg = SolverConfig::default();
+        let pat = pattern::cached_pattern(&c);
+        let (d, _) = solve_dc_inner(&c, None, &cfg, None, None).unwrap();
+        let (s, _) = solve_dc_inner(&c, Some(&pat), &cfg, None, None).unwrap();
         assert!((d.voltage(out) - s.voltage(out)).abs() < 1e-9);
         assert!((d.source_current(0) - s.source_current(0)).abs() < 1e-12);
         assert!(residual_norm(&c, &s) < 1e-9);
     }
 
     #[test]
-    fn sparse_capture_records_resolved_backend() {
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let out = c.node("out");
-        c.vsource(vdd, Circuit::GROUND, 1.0);
-        c.resistor(vdd, out, 10_000.0);
-        c.egt(out, vdd, Circuit::GROUND, 1e-4, 2e-5);
-        let cfg = SolverConfig {
-            backend: SolverBackend::Sparse,
-            ..SolverConfig::default()
-        };
-        let (res, trace) = solve_dc_captured(&c, &cfg, None);
-        assert!(res.is_ok());
-        assert_eq!(trace.config.backend, SolverBackend::Sparse);
-        assert!(trace.dim > 0 && trace.nnz > 0);
-
-        // Replaying the trace (its config carries the resolved
-        // backend) reproduces the trajectory exactly.
-        let rebuilt = trace.rebuild_circuit();
-        let (rr, rt) = solve_dc_captured(&rebuilt, &trace.config, trace.warm_start.as_deref());
-        assert!(rr.is_ok());
-        assert_eq!(rt.residuals_amps, trace.residuals_amps);
-        assert_eq!(rt.steps_volts, trace.steps_volts);
-    }
-
-    #[test]
-    fn auto_backend_resolves_by_dimension() {
-        // A long resistor ladder crosses SPARSE_MIN_DIM; the trace must
-        // show the resolved choice, never `Auto`.
-        let mut c = Circuit::new();
-        let top = c.node("n0");
-        c.vsource(top, Circuit::GROUND, 1.0);
-        let mut prev = top;
-        for i in 1..=40 {
-            let nxt = c.node(&format!("n{i}"));
-            c.resistor(prev, nxt, 1_000.0);
-            prev = nxt;
-        }
-        c.resistor(prev, Circuit::GROUND, 1_000.0);
+    fn sparse_trace_replays_bit_identically() {
+        // Through the JSONL round trip `solver replay` uses: the size
+        // rule alone must send the replay down the same sparse path.
+        let c = tanh_bank(6);
         let cfg = SolverConfig::default();
         let (res, trace) = solve_dc_captured(&c, &cfg, None);
         assert!(res.is_ok());
-        assert!(trace.dim >= SPARSE_MIN_DIM);
-        assert_eq!(trace.config.backend, SolverBackend::Sparse);
+        assert_eq!(trace.dim, unknown_count(&c));
+        assert!(trace.nnz > 0);
+        assert_eq!(trace.cond1_estimate, 0.0, "sparse solves carry no estimate");
+        assert!(trace.residuals_amps.len() > 1);
 
-        // A small circuit stays dense under Auto.
-        let mut small = Circuit::new();
-        let a = small.node("a");
-        small.vsource(a, Circuit::GROUND, 1.0);
-        small.resistor(a, Circuit::GROUND, 100.0);
-        let (_, small_trace) = solve_dc_captured(&small, &cfg, None);
-        assert_eq!(small_trace.config.backend, SolverBackend::Dense);
+        let line = trace.to_jsonl();
+        assert!(!line.contains("\"backend\""));
+        let json = pnc_telemetry::json::parse(&line).unwrap();
+        let parsed = observe::SolveTrace::from_json(&json).unwrap();
+        let rebuilt = parsed.rebuild_circuit();
+        let (rr, rt) = solve_dc_captured(&rebuilt, &parsed.config, parsed.warm_start.as_deref());
+        assert!(rr.is_ok());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rt.residuals_amps), bits(&trace.residuals_amps));
+        assert_eq!(bits(&rt.steps_volts), bits(&trace.steps_volts));
     }
 
     #[test]
-    fn linear_sweep_fast_path_matches_per_point_solves() {
-        // Divider: out = v/2 for every sweep value; the batched path
-        // must agree with one-at-a-time solves to solver tolerance and
-        // report the single batched Newton step per point.
+    fn shared_pattern_cache_keeps_threaded_solves_bit_identical() {
+        // A topology no other test builds, so the threads also race
+        // the cache's first insertion.
+        let base = tanh_bank(7);
+        let inputs = linspace(-1.0, 1.0, 5);
+        let solve_all = || -> Vec<(Vec<u64>, usize)> {
+            inputs
+                .iter()
+                .map(|&v| {
+                    let mut c = base.clone();
+                    c.set_vsource(2, v).unwrap();
+                    let op = solve_dc(&c).unwrap();
+                    let bits = op.state().iter().map(|x| x.to_bits()).collect();
+                    (bits, op.iterations())
+                })
+                .collect()
+        };
+        let start = std::sync::Barrier::new(4);
+        // lint: allow(L006, reason = "the test needs truly concurrent solves racing the shared pattern cache, not the executor's scheduling")
+        let threaded: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        solve_all()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let sequential = solve_all();
+        for run in threaded {
+            assert_eq!(run, sequential);
+        }
+    }
+
+    #[test]
+    fn linear_sweep_matches_per_point_solves() {
+        // Divider: out = v/2 for every sweep value, and the continuation
+        // sweep agrees with one-at-a-time solves to solver tolerance.
         let mut c = Circuit::new();
         let vin = c.node("in");
         let out = c.node("out");
@@ -1185,24 +1071,11 @@ mod tests {
         for (p, &v) in sweep.points.iter().zip(&values) {
             // GMIN loads the divider by a few parts in 1e9.
             assert!((p.voltage(out) - v / 2.0).abs() < 1e-7, "at v = {v}");
-            assert_eq!(p.iterations(), 1);
             let mut one = c.clone();
             one.set_vsource(src, v).unwrap();
             let op = solve_dc(&one).unwrap();
             assert!((p.voltage(out) - op.voltage(out)).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn backend_parse_round_trips() {
-        for b in [
-            SolverBackend::Auto,
-            SolverBackend::Dense,
-            SolverBackend::Sparse,
-        ] {
-            assert_eq!(SolverBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(SolverBackend::parse("blas"), None);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   structure (element kinds + terminals + dimensions, values
 //!   excluded) plus the Jacobian's nonzero count,
 //! * a per-solve `cond1_estimate` of the Jacobian via the Hager/Higham
-//!   1-norm estimator in [`pnc_linalg::cond`], reusing the LU factors
-//!   the Newton step already computed,
+//!   1-norm estimator in [`pnc_linalg::cond`], reusing the dense LU
+//!   factors the Newton step already computed (sparse-LU solves, of
+//!   circuits with at least [`crate::dc::SPARSE_MIN_DIM`] unknowns,
+//!   report 0.0),
 //! * the captured inputs (elements, solver config, warm start) so the
 //!   solve can be re-executed bit-for-bit by `pnc-cli solver replay`.
 //!
@@ -27,12 +29,9 @@
 //! a max-condition high-water gauge — feed the Prometheus exposition
 //! and the `HealthWatchdog` ill-conditioning probe.
 
-use crate::dc::{SolverBackend, SolverConfig};
+use crate::dc::SolverConfig;
 use crate::netlist::{Circuit, Element};
 use crate::SpiceError;
-use pnc_linalg::cond::cond1_estimate;
-use pnc_linalg::decomp::Lu;
-use pnc_linalg::Matrix;
 use pnc_telemetry::json::{event_to_json, write_escaped, Json};
 use pnc_telemetry::{Event, Level, StreamHistogram};
 use std::cell::Cell;
@@ -371,7 +370,6 @@ pub(crate) struct AttemptCapture {
     dim: usize,
     nnz: usize,
     cond1_estimate: f64,
-    backend: SolverBackend,
 }
 
 impl AttemptCapture {
@@ -379,60 +377,26 @@ impl AttemptCapture {
         AttemptCapture::default()
     }
 
-    /// Records the backend the solve resolved to (never `Auto`).
-    pub(crate) fn set_backend(&mut self, backend: SolverBackend) {
-        self.backend = backend;
-    }
-
     /// Records one Newton iteration: the pre-step residual norm, the
-    /// damped step size, and — from the factors the step already paid
-    /// for — a refreshed conditioning estimate (last iteration wins,
-    /// i.e. the estimate reported is the one at the accepted solution).
+    /// damped step size, the Jacobian's `(dimension, non-zeros)` from
+    /// `shape` (called at the first recorded iteration only), and a
+    /// refreshed conditioning estimate when the factorization offers
+    /// one (last iteration wins, i.e. the estimate reported is the one
+    /// at the accepted solution; a solve that never offers one keeps
+    /// 0.0, "never estimated", which downstream aggregates skip).
     pub(crate) fn record_iteration(
         &mut self,
-        jacobian: &Matrix,
-        lu: &Lu,
+        shape: impl FnOnce() -> (usize, usize),
+        cond1: Option<f64>,
         max_resid: f64,
         step_volts: f64,
         damped: bool,
     ) {
         if self.dim == 0 {
-            self.dim = jacobian.rows();
-            let mut nnz = 0usize;
-            for i in 0..jacobian.rows() {
-                for j in 0..jacobian.cols() {
-                    // lint: allow(L002, reason = "sparsity counting: only a bit-exact zero is a structural zero")
-                    if jacobian[(i, j)] != 0.0 {
-                        nnz += 1;
-                    }
-                }
-            }
-            self.nnz = nnz;
+            (self.dim, self.nnz) = shape();
         }
-        if let Ok(k) = cond1_estimate(jacobian, lu) {
+        if let Some(k) = cond1 {
             self.cond1_estimate = k;
-        }
-        self.residuals_amps.push(max_resid);
-        self.steps_volts.push(step_volts);
-        self.damped_steps += u64::from(damped);
-    }
-
-    /// [`Self::record_iteration`] for the sparse backend: dimension and
-    /// nonzero count come from the circuit's sparsity pattern, and no
-    /// conditioning estimate is refreshed (the Hager/Higham probe needs
-    /// dense factors; 0.0 keeps its existing "never estimated" meaning,
-    /// so downstream aggregates skip it rather than mis-read it).
-    pub(crate) fn record_iteration_sparse(
-        &mut self,
-        dim: usize,
-        nnz: usize,
-        max_resid: f64,
-        step_volts: f64,
-        damped: bool,
-    ) {
-        if self.dim == 0 {
-            self.dim = dim;
-            self.nnz = nnz;
         }
         self.residuals_amps.push(max_resid);
         self.steps_volts.push(step_volts);
@@ -473,10 +437,7 @@ impl AttemptCapture {
             steps_volts: self.steps_volts,
             ramp_marks: self.ramp_marks,
             node_count: circuit.node_count(),
-            config: SolverConfig {
-                backend: self.backend,
-                ..*cfg
-            },
+            config: *cfg,
             warm_start: warm_start.map(<[f64]>::to_vec),
             elements: circuit.elements().to_vec(),
         }
@@ -688,8 +649,7 @@ impl SolveTrace {
             .with_f64("residual_tol_amps", self.config.residual_tol_amps)
             .with_f64("step_tol_volts", self.config.step_tol_volts)
             .with_f64("max_step_volts", self.config.max_step_volts)
-            .with_u64("ramp_stages", self.config.ramp_stages as u64)
-            .with_str("backend", self.config.backend.name());
+            .with_u64("ramp_stages", self.config.ramp_stages as u64);
         let mut out = event_to_json(&header, None);
         out.pop(); // strip '}' to splice the array fields
         push_f64_array(&mut out, "residuals_amps", &self.residuals_amps);
@@ -759,18 +719,14 @@ impl SolveTrace {
             steps_volts: f64_arr("steps_volts")?,
             ramp_marks: f64_arr("ramp_marks")?.iter().map(|&m| m as usize).collect(),
             node_count: u("node_count")? as usize,
+            // Older traces also carry a `backend` field. It is ignored:
+            // replay re-applies the circuit-size rule.
             config: SolverConfig {
                 max_iterations: u("max_iterations")? as usize,
                 residual_tol_amps: f("residual_tol_amps")?,
                 step_tol_volts: f("step_tol_volts")?,
                 max_step_volts: f("max_step_volts")?,
                 ramp_stages: u("ramp_stages")? as usize,
-                // Traces predating the backend field all ran dense.
-                backend: j
-                    .get("backend")
-                    .and_then(Json::as_str)
-                    .and_then(SolverBackend::parse)
-                    .unwrap_or(SolverBackend::Dense),
             },
             warm_start,
             elements,
@@ -926,6 +882,15 @@ mod tests {
         let parsed = pnc_telemetry::json::parse(&line).expect("line parses");
         let back = SolveTrace::from_json(&parsed).expect("trace round-trips");
         assert_eq!(back, trace);
+
+        // Older traces carry a `backend` field; it parses and is ignored.
+        let old = line.replacen(
+            ",\"residuals_amps\"",
+            ",\"backend\":\"sparse\",\"residuals_amps\"",
+            1,
+        );
+        let parsed = pnc_telemetry::json::parse(&old).expect("old line parses");
+        assert_eq!(SolveTrace::from_json(&parsed), Some(trace));
     }
 
     #[test]
