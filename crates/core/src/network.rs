@@ -12,8 +12,12 @@
 //!
 //! Everything needed by a training step happens on a caller-provided
 //! [`Tape`] through [`PrintedNetwork::bind`]: parameters are registered,
-//! the forward pass yields logits, and the power model yields a single
-//! differentiable scalar in watts.
+//! the forward pass yields logits, the power model yields a single
+//! differentiable scalar in watts, and each layer's crossbar input is
+//! recorded so [`PrintedNetwork::power_report_from`] can price the
+//! same parameters without another forward. Inference
+//! ([`PrintedNetwork::predict`]) runs the plain chain without the power
+//! subgraph.
 
 use crate::activation::{devices_per_af, LearnableActivation, DEVICES_PER_NEGATION};
 use crate::count::{self, CountConfig};
@@ -78,6 +82,10 @@ pub struct BoundLayer {
 pub struct BoundNetwork {
     /// Per-layer parameter handles, in layer order.
     pub layers: Vec<BoundLayer>,
+    /// Crossbar input of each layer, in layer order (layer 0: the bound
+    /// features). [`PrintedNetwork::power_report_from`] prices their
+    /// values.
+    pub layer_inputs: Vec<Var>,
     /// Network output (logits) node.
     pub logits: Var,
     /// Differentiable total power (watts).
@@ -271,6 +279,7 @@ impl PrintedNetwork {
             });
         }
         let mut bound_layers = Vec::with_capacity(self.layers.len());
+        let mut layer_inputs = Vec::with_capacity(self.layers.len());
         let mut h = tape.constant(x.clone());
         let mut power_terms: Vec<Var> = Vec::new();
 
@@ -282,6 +291,7 @@ impl PrintedNetwork {
                 tape.parameter(layer.rho.clone())
             };
             bound_layers.push(BoundLayer { theta, rho });
+            layer_inputs.push(h);
 
             let out = crossbar::forward(tape, h, theta, &self.negation, layer.mask.as_ref());
             // Activation on every neuron, including the output layer
@@ -297,7 +307,7 @@ impl PrintedNetwork {
             let p_cross = crossbar::power(tape, &out);
             let n_af = count::soft_af_count(tape, masked_theta, &self.cfg.count);
             let n_neg =
-                count::soft_neg_count(tape, masked_theta, self.layer_inputs(i), &self.cfg.count);
+                count::soft_neg_count(tape, masked_theta, self.input_width(i), &self.cfg.count);
             let p_af_each = self.activation.power_on_tape(tape, rho);
             let p_af = tape.mul(n_af, p_af_each);
             let p_neg = tape.mul_scalar(n_neg, self.negation.mean_power_watts);
@@ -313,12 +323,13 @@ impl PrintedNetwork {
 
         Ok(BoundNetwork {
             layers: bound_layers,
+            layer_inputs,
             logits,
             power,
         })
     }
 
-    fn layer_inputs(&self, i: usize) -> usize {
+    fn input_width(&self, i: usize) -> usize {
         self.layers[i].theta.rows() - 2
     }
 
@@ -338,16 +349,21 @@ impl PrintedNetwork {
         Ok(())
     }
 
-    /// Plain forward pass returning logits.
+    /// Plain forward pass returning logits: the crossbar and activation
+    /// chain of [`PrintedNetwork::bind`] without its power subgraph,
+    /// bit-identical to `bind`'s logits.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InputWidthMismatch`] when `x` has the wrong
     /// number of columns.
     pub fn predict(&self, x: &Matrix) -> Result<Matrix, CoreError> {
-        let mut tape = Tape::new();
-        let bound = self.bind(&mut tape, x)?;
-        Ok(tape.value(bound.logits).clone())
+        self.validate_input(x)?;
+        let mut h = self.forward_layer_plain(x, 0);
+        for i in 1..self.layers.len() {
+            h = self.forward_layer_plain(&h, i);
+        }
+        Ok(h.scale(self.cfg.logit_scale))
     }
 
     /// Classification accuracy on `(x, labels)`, in `[0, 1]`.
@@ -368,23 +384,49 @@ impl PrintedNetwork {
     // ------------------------------------------------------------------
 
     /// Power report with indicator (hard) device counts — the paper's
-    /// "final power estimation" semantics.
+    /// "final power estimation" semantics. Runs a plain forward for the
+    /// layer inputs (the last layer's output feeds no crossbar, so it
+    /// is never computed) and prices them with
+    /// [`PrintedNetwork::power_report_from`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InputWidthMismatch`] when `x` has the wrong
     /// number of columns.
     pub fn power_report(&self, x: &Matrix) -> Result<PowerBreakdown, CoreError> {
-        let mut report = PowerBreakdown::default();
         self.validate_input(x)?;
+        let mut hidden: Vec<Matrix> = Vec::with_capacity(self.layers.len() - 1);
+        for i in 0..self.layers.len() - 1 {
+            let h = self.forward_layer_plain(hidden.last().unwrap_or(x), i);
+            hidden.push(h);
+        }
+        let inputs: Vec<&Matrix> = std::iter::once(x).chain(&hidden).collect();
+        self.power_report_from(&inputs)
+    }
 
-        // Layer-by-layer hard accounting on the plain values.
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
+    /// Prices each layer's crossbar input — recorded by
+    /// [`PrintedNetwork::bind`] ([`BoundNetwork::layer_inputs`]) or
+    /// computed by [`PrintedNetwork::power_report`] — with indicator
+    /// device counts. Bit-identical to `power_report` on the same
+    /// parameters and features.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InputWidthMismatch`] when the first input
+    /// has the wrong number of columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one input per layer.
+    pub fn power_report_from(&self, inputs: &[&Matrix]) -> Result<PowerBreakdown, CoreError> {
+        assert_eq!(inputs.len(), self.layers.len(), "one input per layer");
+        self.validate_input(inputs[0])?;
+        let mut report = PowerBreakdown::default();
+        for (i, (layer, &h)) in self.layers.iter().zip(inputs).enumerate() {
             let theta_eff = self.theta_effective(i);
-            let classes = crossbar::power_reference_classes(&h, &theta_eff, &self.negation);
+            let classes = crossbar::power_reference_classes(h, &theta_eff, &self.negation);
             let n_af = count::hard_af_count(&theta_eff, &self.cfg.count);
-            let n_neg = count::hard_neg_count(&theta_eff, self.layer_inputs(i), &self.cfg.count);
+            let n_neg = count::hard_neg_count(&theta_eff, self.input_width(i), &self.cfg.count);
             let p_af = self.activation.power_value(&layer.rho);
             let resistors = crossbar::resistor_count(&theta_eff, &self.cfg.count);
 
@@ -403,9 +445,6 @@ impl PrintedNetwork {
             report.neg_circuits += n_neg;
             report.resistors += resistors;
             report.layers.push(layer_power);
-
-            // Propagate voltages for the next layer's crossbar power.
-            h = self.forward_layer_plain(&h, i);
         }
         Ok(report)
     }
@@ -436,7 +475,7 @@ impl PrintedNetwork {
             devices += crossbar::resistor_count(&theta_eff, &self.cfg.count);
             devices += count::hard_af_count(&theta_eff, &self.cfg.count)
                 * devices_per_af(self.activation.kind());
-            devices += count::hard_neg_count(&theta_eff, self.layer_inputs(i), &self.cfg.count)
+            devices += count::hard_neg_count(&theta_eff, self.input_width(i), &self.cfg.count)
                 * DEVICES_PER_NEGATION;
         }
         devices
@@ -455,7 +494,7 @@ impl PrintedNetwork {
         let tau = self.cfg.count.threshold;
         let mut pruned = 0usize;
         for i in 0..self.layers.len() {
-            let inputs = self.layer_inputs(i);
+            let inputs = self.input_width(i);
             let theta = self.layers[i].theta.clone();
             let mut mask = Matrix::ones(theta.rows(), theta.cols());
             for j in 0..theta.rows() {

@@ -5,7 +5,12 @@
 //! the `runs power` audit relies on — if a stage were dropped or
 //! double-counted the tree would silently lie, so the invariant is
 //! pinned across random topologies, seeds, and input batches.
+//!
+//! A second property pins the seams the training loop relies on:
+//! pricing a bound tape's recorded layer inputs equals
+//! `power_report`, and `predict` equals `bind`'s logits, bit for bit.
 
+use pnc_autodiff::Tape;
 use pnc_core::activation::{fit_negation_model, SurrogateFidelity};
 use pnc_core::{LearnableActivation, NetworkConfig, PrintedNetwork};
 use pnc_linalg::rng as lrng;
@@ -63,5 +68,60 @@ proptest! {
             (leaf_sum - total).abs() <= 64.0 * pnc_core::power::SUM_REL_TOL * total,
             "leaf sum {leaf_sum} vs total {total}"
         );
+    }
+}
+
+/// Bit patterns of a matrix, for exact comparisons.
+fn bits(m: &pnc_linalg::Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The training loop prices hard power from the layer inputs its
+    /// tape forward recorded, and validates through the plain chain.
+    /// Both must reproduce the stand-alone paths bit for bit.
+    #[test]
+    fn recorded_inputs_and_plain_chain_match_the_bound_forward(
+        seed in 0u64..1_000,
+        inputs in 2usize..6,
+        outputs in 2usize..5,
+        rows in 1usize..9,
+        data_seed in 0u64..1_000,
+        deep in 0u8..2,
+        masked in 0u8..2,
+        frozen in 0u8..2,
+    ) {
+        let (act, neg) = smoke_parts().clone();
+        let cfg = NetworkConfig {
+            hidden: if deep == 1 { vec![5, 4] } else { vec![3] },
+            ..NetworkConfig::default()
+        };
+        let mut rng = lrng::seeded(seed);
+        let mut net = PrintedNetwork::new(inputs, outputs, cfg, act, neg, &mut rng).unwrap();
+        if masked == 1 {
+            // Shrink a few conductances below the counting threshold so
+            // the masks prune something.
+            let mut values = net.param_values();
+            for v in values[0].as_mut_slice().iter_mut().step_by(3) {
+                *v *= 0.001;
+            }
+            net.set_param_values(&values);
+            net.build_masks();
+        }
+        net.set_freeze_designs(frozen == 1);
+        let x = lrng::uniform_matrix(&mut lrng::seeded(data_seed), rows, inputs, -0.9, 0.9);
+
+        let mut tape = Tape::new();
+        let bound = net.bind(&mut tape, &x).unwrap();
+        let recorded: Vec<&pnc_linalg::Matrix> =
+            bound.layer_inputs.iter().map(|&v| tape.value(v)).collect();
+        let from_tape = net.power_report_from(&recorded).unwrap();
+        let plain = net.power_report(&x).unwrap();
+        prop_assert_eq!(from_tape.total().to_bits(), plain.total().to_bits());
+        prop_assert_eq!(format!("{from_tape:?}"), format!("{plain:?}"));
+
+        prop_assert_eq!(bits(&net.predict(&x).unwrap()), bits(tape.value(bound.logits)));
     }
 }

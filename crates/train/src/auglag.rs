@@ -27,7 +27,7 @@
 use crate::error::TrainError;
 use crate::observer::{NoopObserver, RescueEvent, TrainObserver};
 use crate::trainer::{
-    fit_instrumented, DataRefs, EpochMeasure, FitContext, FitReport, TrainConfig,
+    fit_instrumented, DataRefs, EpochMeasure, FitContext, FitReport, Iterate, TrainConfig,
 };
 use pnc_core::{CoreError, PrintedNetwork};
 use pnc_linalg::Matrix;
@@ -125,11 +125,12 @@ pub fn hard_power(net: &PrintedNetwork, x: &Matrix) -> Result<f64, CoreError> {
     Ok(net.power_report(x)?.total())
 }
 
-/// Infallible per-epoch measurement for the training loop: a shape
-/// mismatch (impossible once the fit loop has bound the same inputs)
-/// degrades to "infeasible, no power reading" instead of panicking.
-fn measure_hard_power(net: &PrintedNetwork, x: &Matrix, budget: f64) -> EpochMeasure {
-    match hard_power(net, x) {
+/// Infallible per-epoch measurement for the training loop, priced from
+/// the iterate's recorded forward: a shape mismatch (impossible once
+/// the fit loop has bound the same inputs) degrades to "infeasible, no
+/// power reading" instead of panicking.
+fn measure_hard_power(it: &Iterate<'_>, budget: f64) -> EpochMeasure {
+    match it.hard_power() {
         Ok(p) => EpochMeasure {
             power_watts: Some(p),
             feasible: p <= budget,
@@ -206,7 +207,7 @@ pub fn train_auglag_observed(
         };
         // One hard-power evaluation per epoch serves both feasibility
         // tracking and telemetry.
-        let measure = move |n: &PrintedNetwork| measure_hard_power(n, data.x_train, budget);
+        let measure = move |it: &Iterate<'_>| measure_hard_power(it, budget);
         let ctx = FitContext {
             lambda: Some(lam),
             mu: Some(mu),
@@ -255,7 +256,7 @@ pub fn train_auglag_observed(
         rescued = true;
         let _rescue_scope = prof.scope("rescue");
         let budget = cfg.budget_watts;
-        let rescue_measure = move |n: &PrintedNetwork| measure_hard_power(n, data.x_train, budget);
+        let rescue_measure = move |it: &Iterate<'_>| measure_hard_power(it, budget);
         let rescue_ctx = FitContext {
             lambda: None,
             mu: None,

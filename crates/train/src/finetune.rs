@@ -14,7 +14,7 @@
 
 use crate::auglag::hard_power;
 use crate::error::TrainError;
-use crate::trainer::{fit, DataRefs, TrainConfig};
+use crate::trainer::{fit, DataRefs, Iterate, TrainConfig};
 use pnc_core::PrintedNetwork;
 
 /// Result of the fine-tuning phase.
@@ -57,7 +57,7 @@ pub fn finetune(
         &|_tape, _bound, ce| ce,
         // A shape mismatch inside the feasibility probe (impossible once
         // the fit loop has bound the same inputs) counts as infeasible.
-        &|n: &PrintedNetwork| hard_power(n, data.x_train).is_ok_and(|p| p <= budget_watts),
+        &|it: &Iterate<'_>| it.hard_power().is_ok_and(|p| p <= budget_watts),
     )?;
 
     // If fine-tuning never found a feasible iterate (and we started

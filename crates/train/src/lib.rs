@@ -65,7 +65,7 @@ pub use observer::{
 pub use pareto::{pareto_front, ParetoPoint};
 pub use penalty::{train_penalty, train_penalty_observed, PenaltyConfig};
 pub use trainer::{
-    fit, fit_instrumented, fit_traced, DataRefs, EpochMeasure, EpochRecord, FitContext, FitReport,
+    fit, fit_instrumented, DataRefs, EpochMeasure, EpochRecord, FitContext, FitReport, Iterate,
     TrainConfig,
 };
 pub use watchdog::{Diagnosis, HealthWatchdog, WatchdogConfig};

@@ -20,9 +20,8 @@
 //!   is the paper's `#Dev` metric; constraining it directly targets
 //!   substrate area and yield rather than energy.
 
-use crate::auglag::hard_power;
 use crate::error::TrainError;
-use crate::trainer::{fit, DataRefs, TrainConfig};
+use crate::trainer::{fit, DataRefs, Iterate, TrainConfig};
 use pnc_autodiff::{Tape, Var};
 use pnc_core::activation::{devices_per_af, DEVICES_PER_NEGATION};
 use pnc_core::count::{soft_af_count, soft_neg_count};
@@ -61,8 +60,25 @@ impl ConstraintKind {
         }
     }
 
-    /// Hard (indicator) evaluation of the constraint on the current
-    /// network: `value/budget − 1`.
+    /// Hard (indicator) evaluation of the constraint on a training
+    /// iterate: `value/budget − 1`, with power priced from the
+    /// iterate's recorded forward.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InputWidthMismatch`] when the training
+    /// inputs disagree with the network topology.
+    pub fn violation(&self, it: &Iterate<'_>) -> Result<f64, CoreError> {
+        match *self {
+            ConstraintKind::Power { budget_watts } => Ok(it.hard_power()? / budget_watts - 1.0),
+            ConstraintKind::DeviceCount { budget_devices } => {
+                Ok(it.network().device_count() as f64 / budget_devices - 1.0)
+            }
+        }
+    }
+
+    /// [`ConstraintKind::violation`] of `net` on the inputs `x`, priced
+    /// with a plain forward.
     ///
     /// # Errors
     ///
@@ -73,12 +89,7 @@ impl ConstraintKind {
         net: &PrintedNetwork,
         x: &pnc_linalg::Matrix,
     ) -> Result<f64, CoreError> {
-        match *self {
-            ConstraintKind::Power { budget_watts } => Ok(hard_power(net, x)? / budget_watts - 1.0),
-            ConstraintKind::DeviceCount { budget_devices } => {
-                Ok(net.device_count() as f64 / budget_devices - 1.0)
-            }
-        }
+        self.violation(&Iterate::new(net, x))
     }
 }
 
@@ -198,10 +209,10 @@ pub fn train_multi_constraint(
         // A shape mismatch inside the feasibility probe (impossible
         // once the fit loop has bound the same inputs) counts as
         // infeasible instead of panicking.
-        let feasible = move |n: &PrintedNetwork| {
+        let feasible = move |it: &Iterate<'_>| {
             cons2
                 .iter()
-                .all(|c| c.hard_violation(n, data.x_train).is_ok_and(|v| v <= 0.0))
+                .all(|c| c.violation(it).is_ok_and(|v| v <= 0.0))
         };
         fit(net, data, &cfg.inner, &objective, &feasible)?;
 
@@ -240,6 +251,7 @@ pub fn train_multi_constraint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auglag::hard_power;
     use crate::trainer::fit_cross_entropy;
     use crate::trainer::test_support::tiny_network;
     use pnc_datasets::{Dataset, DatasetId};

@@ -7,11 +7,10 @@
 //! Pareto front takes a grid of `α` values × several seeds — up to 150
 //! runs per dataset in the paper, versus a single constrained run.
 
-use crate::auglag::hard_power;
 use crate::error::TrainError;
 use crate::observer::{NoopObserver, TrainObserver};
 use crate::trainer::{
-    fit_instrumented, DataRefs, EpochMeasure, FitContext, FitReport, TrainConfig,
+    fit_instrumented, DataRefs, EpochMeasure, FitContext, FitReport, Iterate, TrainConfig,
 };
 use pnc_core::PrintedNetwork;
 
@@ -153,10 +152,8 @@ pub fn train_penalty_observed(
     let want_power = observer.wants_power();
     // A shape mismatch inside the measure closure (impossible once the
     // fit loop has bound the same inputs) degrades to "no reading".
-    let measure = move |n: &PrintedNetwork| EpochMeasure {
-        power_watts: want_power
-            .then(|| hard_power(n, data.x_train).ok())
-            .flatten(),
+    let measure = move |it: &Iterate<'_>| EpochMeasure {
+        power_watts: want_power.then(|| it.hard_power().ok()).flatten(),
         feasible: true,
     };
     let report = {

@@ -11,9 +11,9 @@ use crate::observer::{NoopObserver, TrainObserver};
 use pnc_autodiff::optim::clip_grad_norm;
 use pnc_autodiff::{Adam, Optimizer, Tape, Var};
 use pnc_core::network::BoundNetwork;
-use pnc_core::PrintedNetwork;
+use pnc_core::{CoreError, PrintedNetwork};
 use pnc_linalg::Matrix;
-use pnc_telemetry::Stopwatch;
+use pnc_telemetry::{Profiler, Stopwatch};
 
 /// Borrowed training/validation data.
 #[derive(Debug, Clone, Copy)]
@@ -131,15 +131,59 @@ pub struct FitReport {
 /// minimize.
 pub type ObjectiveFn<'f> = dyn Fn(&mut Tape, &BoundNetwork, Var) -> Var + 'f;
 
-/// Feasibility predicate evaluated on the *current* network each epoch
-/// (e.g. "hard power within budget"). Used only for best-model
-/// selection, never for gradients.
-pub type FeasibleFn<'f> = dyn Fn(&PrintedNetwork) -> bool + 'f;
+/// Feasibility predicate evaluated on each epoch's [`Iterate`] (e.g.
+/// "hard power within budget"). Used only for best-model selection,
+/// never for gradients.
+pub type FeasibleFn<'f> = dyn Fn(&Iterate<'_>) -> bool + 'f;
+
+/// The iterate a [`MeasureFn`] or [`FeasibleFn`] judges: the network
+/// after one update, plus the crossbar input of every layer when the
+/// training forward at these parameters recorded them. Pricing it then
+/// costs no forward pass.
+#[derive(Debug)]
+pub struct Iterate<'a> {
+    net: &'a PrintedNetwork,
+    x_train: &'a Matrix,
+    layer_inputs: Option<Vec<&'a Matrix>>,
+}
+
+impl<'a> Iterate<'a> {
+    /// An iterate without a recorded forward: [`Iterate::hard_power`]
+    /// runs a plain forward over `x_train`.
+    pub(crate) fn new(net: &'a PrintedNetwork, x_train: &'a Matrix) -> Self {
+        Iterate {
+            net,
+            x_train,
+            layer_inputs: None,
+        }
+    }
+
+    /// The network at this iterate's parameters.
+    pub fn network(&self) -> &'a PrintedNetwork {
+        self.net
+    }
+
+    /// Hard (indicator-count) power on the training inputs, bit-identical
+    /// to [`crate::auglag::hard_power`]: priced from the recorded layer
+    /// inputs when there are some, else from a plain forward.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InputWidthMismatch`] when the training
+    /// inputs disagree with the network topology.
+    pub fn hard_power(&self) -> Result<f64, CoreError> {
+        let report = match &self.layer_inputs {
+            Some(inputs) => self.net.power_report_from(inputs)?,
+            None => self.net.power_report(self.x_train)?,
+        };
+        Ok(report.total())
+    }
+}
 
 /// Per-epoch hard measurement produced by a [`MeasureFn`]. Bundling
-/// power and feasibility into one closure means the (SPICE-backed)
-/// hard power is computed at most once per epoch, exactly as often as
-/// the old feasibility predicate evaluated it.
+/// power and feasibility into one closure means the hard power is
+/// computed at most once per epoch, exactly as often as the old
+/// feasibility predicate evaluated it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochMeasure {
     /// Hard power (watts) of the current iterate, when the run prices
@@ -161,8 +205,8 @@ impl EpochMeasure {
     }
 }
 
-/// Hard measurement evaluated on the *current* network once per epoch.
-pub type MeasureFn<'f> = dyn Fn(&PrintedNetwork) -> EpochMeasure + 'f;
+/// Hard measurement evaluated on each epoch's [`Iterate`].
+pub type MeasureFn<'f> = dyn Fn(&Iterate<'_>) -> EpochMeasure + 'f;
 
 /// Constraint-side context a caller (e.g. the augmented Lagrangian
 /// outer loop) stamps into every [`EpochRecord`] of an inner solve.
@@ -177,7 +221,7 @@ pub struct FitContext {
     pub budget_watts: Option<f64>,
 }
 
-/// One epoch's telemetry from [`fit_traced`] / [`fit_instrumented`].
+/// One epoch's telemetry from [`fit_instrumented`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochRecord {
     /// 1-based epoch index.
@@ -221,9 +265,9 @@ pub fn fit(
     objective: &ObjectiveFn<'_>,
     feasible: &FeasibleFn<'_>,
 ) -> Result<FitReport, TrainError> {
-    let measure = |n: &PrintedNetwork| EpochMeasure {
+    let measure = |it: &Iterate<'_>| EpochMeasure {
         power_watts: None,
-        feasible: feasible(n),
+        feasible: feasible(it),
     };
     fit_instrumented(
         net,
@@ -236,52 +280,118 @@ pub fn fit(
     )
 }
 
-/// Adapts a per-epoch closure to the observer interface for
-/// [`fit_traced`].
-struct EpochFnObserver<'a>(&'a mut dyn FnMut(EpochRecord));
+/// A gradient step whose iterate awaits validation and pricing.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    epoch: usize,
+    objective: f64,
+    grad_norm: f64,
+}
 
-impl TrainObserver for EpochFnObserver<'_> {
-    fn on_epoch(&mut self, record: &EpochRecord) {
-        (self.0)(*record);
+/// Best-model selection and the plateau schedule: the bookkeeping that
+/// settles each step's iterate.
+struct Selection<'a> {
+    data: DataRefs<'a>,
+    cfg: &'a TrainConfig,
+    measure: &'a MeasureFn<'a>,
+    ctx: &'a FitContext,
+    prof: Profiler,
+    best_params: Vec<Matrix>,
+    /// (feasible, validation accuracy, −validation loss) of the best
+    /// iterate so far.
+    best_key: (bool, f64, f64),
+    best_power: Option<f64>,
+    /// Plateau detection follows the paper: "halving the learning rate
+    /// after [patience] epochs without improvement on the validation
+    /// set" — improvement meaning accuracy (loss still breaks ties for
+    /// model selection, but must not keep resetting the plateau clock).
+    best_acc_key: (bool, f64),
+    stale: usize,
+}
+
+impl Selection<'_> {
+    /// Settles the iterate `step` produced: validates it, prices it
+    /// through the measure closure, keeps it if it is the best so far,
+    /// reports it, and applies the plateau rule. Returns `false` when
+    /// the halved learning rate would fall below `min_lr`, i.e. the run
+    /// stops.
+    fn settle(
+        &mut self,
+        it: &Iterate<'_>,
+        step: Step,
+        opt: &mut Adam,
+        observer: &mut dyn TrainObserver,
+    ) -> Result<bool, TrainError> {
+        let net = it.network();
+        let (val_acc, val_loss) = {
+            let _validate = self.prof.scope("validate");
+            let val_logits = net.predict(self.data.x_val)?;
+            (
+                pnc_autodiff::functional::accuracy(&val_logits, self.data.y_val),
+                pnc_autodiff::functional::cross_entropy(&val_logits, self.data.y_val),
+            )
+        };
+        let measured = {
+            let _measure = self.prof.scope("measure");
+            (self.measure)(it)
+        };
+        let is_feasible = measured.feasible;
+        let key = (is_feasible, val_acc, -val_loss);
+        if key > self.best_key {
+            self.best_key = key;
+            self.best_params = net.param_values();
+            self.best_power = measured.power_watts;
+        }
+        observer.on_epoch(&EpochRecord {
+            epoch: step.epoch,
+            objective: step.objective,
+            val_accuracy: val_acc,
+            val_loss,
+            feasible: is_feasible,
+            lr: opt.learning_rate(),
+            grad_norm: step.grad_norm,
+            power_watts: measured.power_watts,
+            constraint: match (measured.power_watts, self.ctx.budget_watts) {
+                (Some(p), Some(b)) => Some(p / b - 1.0),
+                _ => None,
+            },
+            lambda: self.ctx.lambda,
+            mu: self.ctx.mu,
+        });
+        observer.on_network(step.epoch, net);
+        let acc_key = (is_feasible, val_acc);
+        if acc_key > self.best_acc_key {
+            self.best_acc_key = acc_key;
+            self.stale = 0;
+        } else {
+            self.stale += 1;
+            if self.stale >= self.cfg.patience {
+                let new_lr = opt.learning_rate() * self.cfg.lr_decay;
+                if new_lr < self.cfg.min_lr {
+                    return Ok(false);
+                }
+                opt.set_learning_rate(new_lr);
+                self.stale = 0;
+            }
+        }
+        Ok(true)
     }
 }
 
-/// Like [`fit`] but invokes `on_epoch` with per-epoch telemetry —
-/// convergence curves, power trajectories, LR schedules — without
-/// changing the training behaviour.
+/// The fully instrumented training loop. `measure` prices each epoch's
+/// updated network (hard power + feasibility in one pass); `ctx` stamps
+/// the surrounding constraint state (λ, μ, budget) into every
+/// [`EpochRecord`]; `observer` receives each record. Training behaviour
+/// is identical to [`fit`] for the same `objective` and feasibility
+/// semantics.
 ///
-/// # Errors
-///
-/// Same conditions as [`fit`].
-pub fn fit_traced(
-    net: &mut PrintedNetwork,
-    data: &DataRefs<'_>,
-    cfg: &TrainConfig,
-    objective: &ObjectiveFn<'_>,
-    feasible: &FeasibleFn<'_>,
-    on_epoch: &mut dyn FnMut(EpochRecord),
-) -> Result<FitReport, TrainError> {
-    let measure = |n: &PrintedNetwork| EpochMeasure {
-        power_watts: None,
-        feasible: feasible(n),
-    };
-    fit_instrumented(
-        net,
-        data,
-        cfg,
-        objective,
-        &measure,
-        &FitContext::default(),
-        &mut EpochFnObserver(on_epoch),
-    )
-}
-
-/// The fully instrumented training loop. `measure` runs once per epoch
-/// on the updated network (hard power + feasibility in one pass);
-/// `ctx` stamps the surrounding constraint state (λ, μ, budget) into
-/// every [`EpochRecord`]; `observer` receives each record. Training
-/// behaviour is identical to [`fit`] for the same `objective` and
-/// feasibility semantics.
+/// One tape forward per epoch serves both the gradient and the hard
+/// power: the forward at θₜ₊₁ first settles step `t` (validation,
+/// measurement from the recorded layer inputs, best-model tracking,
+/// observer callbacks, plateau rule) and then backpropagates step
+/// `t + 1`. When the epochs run out, the last iterate is priced with a
+/// plain forward instead; when the plateau rule stops the run, the
+/// forward that settled the last iterate is never backpropagated.
 ///
 /// # Errors
 ///
@@ -309,22 +419,26 @@ pub fn fit_instrumented(
     let forward_ms = metrics.histogram("tape_forward_ms");
     let backward_ms = metrics.histogram("tape_backward_ms");
     let mut opt = Adam::with_lr(cfg.lr);
-    let mut best_params: Vec<Matrix> = net.param_values();
-    let mut best_key = (false, f64::NEG_INFINITY, f64::INFINITY); // (feasible, acc, -loss ordering)
-    let mut best_power: Option<f64> = None;
-    // Plateau detection follows the paper: "halving the learning rate
-    // after [patience] epochs without improvement on the validation
-    // set" — improvement meaning accuracy (loss still breaks ties for
-    // model selection, but must not keep resetting the plateau clock).
-    let mut best_acc_key = (false, f64::NEG_INFINITY);
-    let mut stale = 0usize;
+    let mut sel = Selection {
+        data: *data,
+        cfg,
+        measure,
+        ctx,
+        prof: prof.clone(),
+        best_params: net.param_values(),
+        best_key: (false, f64::NEG_INFINITY, f64::INFINITY),
+        best_power: None,
+        best_acc_key: (false, f64::NEG_INFINITY),
+        stale: 0,
+    };
     let mut epochs = 0usize;
     let mut final_objective = f64::NAN;
+    // The last step, settled by the next forward.
+    let mut stepped: Option<Step> = None;
 
-    for epoch in 0..cfg.max_epochs {
-        epochs = epoch + 1;
+    for epoch in 1..=cfg.max_epochs {
         let mut epoch_scope = prof.scope("epoch");
-        epoch_scope.set_u64("epoch", epochs as u64);
+        epoch_scope.set_u64("epoch", epoch as u64);
         let mut tape = Tape::new();
         let (bound, total) = {
             let mut fwd = prof.scope("tape_forward");
@@ -335,6 +449,17 @@ pub fn fit_instrumented(
             fwd.set_u64("nodes", tape.len() as u64);
             (bound, total)
         };
+        if let Some(step) = stepped.take() {
+            let it = Iterate {
+                net,
+                x_train: data.x_train,
+                layer_inputs: Some(bound.layer_inputs.iter().map(|&v| tape.value(v)).collect()),
+            };
+            if !sel.settle(&it, step, &mut opt, observer)? {
+                break;
+            }
+        }
+        epochs = epoch;
         final_objective = tape.scalar(total);
         let grads = {
             let _bwd_sample = backward_ms.start_sample();
@@ -352,7 +477,7 @@ pub fn fit_instrumented(
         // record exactly where the run collapsed.
         if let Some(what) = non_finite_what(final_objective, grad_norm) {
             observer.on_epoch(&EpochRecord {
-                epoch: epochs,
+                epoch,
                 objective: final_objective,
                 val_accuracy: f64::NAN,
                 val_loss: f64::NAN,
@@ -364,79 +489,32 @@ pub fn fit_instrumented(
                 lambda: ctx.lambda,
                 mu: ctx.mu,
             });
-            net.set_param_values(&best_params);
-            return Err(TrainError::NonFinite {
-                epoch: epochs,
-                what,
-            });
+            net.set_param_values(&sel.best_params);
+            return Err(TrainError::NonFinite { epoch, what });
         }
 
         opt.step_profiled(&mut values, &grad_list, &prof);
         net.set_param_values(&values);
-
-        // Validation bookkeeping.
-        let (val_acc, val_loss) = {
-            let _validate = prof.scope("validate");
-            let val_logits = net.predict(data.x_val)?;
-            (
-                pnc_autodiff::functional::accuracy(&val_logits, data.y_val),
-                pnc_autodiff::functional::cross_entropy(&val_logits, data.y_val),
-            )
-        };
-        let measured = {
-            let _measure = prof.scope("measure");
-            measure(net)
-        };
-        let is_feasible = measured.feasible;
-        let key = (is_feasible, val_acc, -val_loss);
-
-        if key > best_key {
-            best_key = key;
-            best_params = net.param_values();
-            best_power = measured.power_watts;
-        }
-        observer.on_epoch(&EpochRecord {
-            epoch: epochs,
+        stepped = Some(Step {
+            epoch,
             objective: final_objective,
-            val_accuracy: val_acc,
-            val_loss,
-            feasible: is_feasible,
-            lr: opt.learning_rate(),
             grad_norm,
-            power_watts: measured.power_watts,
-            constraint: match (measured.power_watts, ctx.budget_watts) {
-                (Some(p), Some(b)) => Some(p / b - 1.0),
-                _ => None,
-            },
-            lambda: ctx.lambda,
-            mu: ctx.mu,
         });
-        observer.on_network(epochs, net);
-        let acc_key = (is_feasible, val_acc);
-        if acc_key > best_acc_key {
-            best_acc_key = acc_key;
-            stale = 0;
-        } else {
-            stale += 1;
-            if stale >= cfg.patience {
-                let new_lr = opt.learning_rate() * cfg.lr_decay;
-                if new_lr < cfg.min_lr {
-                    break;
-                }
-                opt.set_learning_rate(new_lr);
-                stale = 0;
-            }
-        }
+    }
+    // Out of epochs: no forward follows the last step, so its iterate
+    // is priced with a plain one.
+    if let Some(step) = stepped {
+        sel.settle(&Iterate::new(net, data.x_train), step, &mut opt, observer)?;
     }
 
-    net.set_param_values(&best_params);
+    net.set_param_values(&sel.best_params);
     Ok(FitReport {
         epochs,
-        best_val_accuracy: best_key.1.max(0.0),
-        best_is_feasible: best_key.0,
+        best_val_accuracy: sel.best_key.1.max(0.0),
+        best_is_feasible: sel.best_key.0,
         final_objective,
         final_lr: opt.learning_rate(),
-        final_power_watts: best_power,
+        final_power_watts: sel.best_power,
         wall_clock_ms: started.elapsed_ms(),
         seed: cfg.seed,
     })
@@ -546,6 +624,8 @@ mod tests {
 
     #[test]
     fn traced_fit_reports_every_epoch() {
+        use crate::observer::RecordingObserver;
+
         let ds = Dataset::generate(DatasetId::Iris, 9);
         let split = ds.split(5);
         let data = DataRefs::from_split(&split);
@@ -554,16 +634,18 @@ mod tests {
             max_epochs: 12,
             ..TrainConfig::smoke()
         };
-        let mut history = Vec::new();
-        let report = fit_traced(
+        let mut rec = RecordingObserver::new();
+        let report = fit_instrumented(
             &mut net,
             &data,
             &cfg,
             &|_t, _b, ce| ce,
-            &|_n| true,
-            &mut |rec| history.push(rec),
+            &|_it| EpochMeasure::unconstrained(),
+            &FitContext::default(),
+            &mut rec,
         )
         .unwrap();
+        let history = rec.epochs;
         assert_eq!(history.len(), report.epochs);
         assert_eq!(history[0].epoch, 1);
         assert!(history.iter().all(|r| r.objective.is_finite()));
@@ -575,6 +657,60 @@ mod tests {
         let mut net2 = test_support::tiny_network(4, 3, 10);
         fit(&mut net2, &data, &cfg, &|_t, _b, ce| ce, &|_n| true).unwrap();
         assert_eq!(net.param_values()[0], net2.param_values()[0]);
+    }
+
+    /// Checks each epoch's reported power against a fresh plain pricing
+    /// of the network the observer sees for that epoch.
+    struct PowerAudit<'a> {
+        x_train: &'a Matrix,
+        records: Vec<Option<f64>>,
+        priced: Vec<(usize, f64)>,
+    }
+
+    impl crate::observer::TrainObserver for PowerAudit<'_> {
+        fn on_epoch(&mut self, record: &EpochRecord) {
+            self.records.push(record.power_watts);
+        }
+
+        fn on_network(&mut self, epoch: usize, net: &PrintedNetwork) {
+            let p = crate::auglag::hard_power(net, self.x_train).unwrap();
+            self.priced.push((epoch, p));
+        }
+    }
+
+    #[test]
+    fn recorded_power_matches_plain_pricing_every_epoch() {
+        use crate::auglag::{hard_power, train_auglag_observed, AugLagConfig};
+
+        let ds = Dataset::generate(DatasetId::Iris, 15);
+        let split = ds.split(10);
+        let data = DataRefs::from_split(&split);
+        let mut net = test_support::tiny_network(4, 3, 16);
+        let budget = 0.5 * hard_power(&net, data.x_train).unwrap();
+        // A short patience ends some inner solves on the plateau rule;
+        // the rest run out of epochs and are priced with a plain forward.
+        let cfg = AugLagConfig {
+            inner: TrainConfig {
+                max_epochs: 30,
+                patience: 6,
+                min_lr: 0.02,
+                ..TrainConfig::smoke()
+            },
+            ..AugLagConfig::smoke(budget)
+        };
+        let mut audit = PowerAudit {
+            x_train: data.x_train,
+            records: Vec::new(),
+            priced: Vec::new(),
+        };
+        let report = train_auglag_observed(&mut net, &data, &cfg, &mut audit).unwrap();
+        let epochs: usize = report.outer.iter().map(|o| o.fit.epochs).sum();
+        assert!(epochs > 0 && audit.records.len() >= epochs);
+        assert_eq!(audit.records.len(), audit.priced.len());
+        for (recorded, (epoch, priced)) in audit.records.iter().zip(&audit.priced) {
+            let recorded = recorded.unwrap_or_else(|| panic!("epoch {epoch}: no power"));
+            assert_eq!(recorded.to_bits(), priced.to_bits(), "epoch {epoch}");
+        }
     }
 
     #[test]

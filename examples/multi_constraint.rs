@@ -7,8 +7,9 @@
 //! * **printed devices** (substrate area and yield cap the design at
 //!   60 components).
 //!
-//! Also demonstrates `fit_traced`: per-epoch telemetry of the inner
-//! solves, rendered as terminal sparklines.
+//! Also demonstrates `fit_instrumented` with a `RecordingObserver`:
+//! per-epoch telemetry of the inner solves, rendered as terminal
+//! sparklines.
 //!
 //! ```text
 //! cargo run --release --example multi_constraint
@@ -19,7 +20,8 @@ use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
 use pnc::train::multi::{train_multi_constraint, ConstraintKind, MultiConstraintConfig};
-use pnc::train::trainer::{fit_traced, DataRefs, EpochRecord, TrainConfig};
+use pnc::train::observer::RecordingObserver;
+use pnc::train::trainer::{fit_instrumented, DataRefs, EpochMeasure, FitContext, TrainConfig};
 
 const POWER_BUDGET_W: f64 = 0.25e-3;
 const DEVICE_BUDGET: f64 = 60.0;
@@ -74,8 +76,8 @@ fn main() {
     // First, show one traced unconstrained inner solve: the telemetry
     // users would plot.
     println!("\ntracing a 120-epoch cross-entropy warm-up:");
-    let mut history: Vec<EpochRecord> = Vec::new();
-    fit_traced(
+    let mut recorder = RecordingObserver::new();
+    fit_instrumented(
         &mut net,
         &data,
         &TrainConfig {
@@ -84,12 +86,13 @@ fn main() {
             ..TrainConfig::default()
         },
         &|_t, _b, ce| ce,
-        &|_n| true,
-        &mut |rec| history.push(rec),
+        &|_it| EpochMeasure::unconstrained(),
+        &FitContext::default(),
+        &mut recorder,
     )
     .expect("warm-up fit");
-    let objectives: Vec<f64> = history.iter().map(|r| r.objective).collect();
-    let accs: Vec<f64> = history.iter().map(|r| r.val_accuracy).collect();
+    let objectives: Vec<f64> = recorder.epochs.iter().map(|r| r.objective).collect();
+    let accs: Vec<f64> = recorder.epochs.iter().map(|r| r.val_accuracy).collect();
     println!("  objective {}", sparkline(&objectives));
     println!("  val acc   {}", sparkline(&accs));
     println!(
