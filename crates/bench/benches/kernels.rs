@@ -13,6 +13,7 @@ use pnc_spice::dc::solve_dc;
 use pnc_spice::netlist::Circuit;
 use pnc_spice::AfKind;
 use pnc_surrogate::NegationModel;
+use pnc_telemetry::Telemetry;
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("linalg/matmul");
@@ -85,8 +86,12 @@ fn bench_spice(c: &mut Criterion) {
 
 fn bench_surrogates(c: &mut Criterion) {
     // Shared smoke-fidelity activation (fit once).
-    let act = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke())
-        .expect("surrogate fit");
+    let act = LearnableActivation::fit(
+        AfKind::PTanh,
+        &SurrogateFidelity::smoke(),
+        &Telemetry::disabled(),
+    )
+    .expect("surrogate fit");
     let d = AfKind::PTanh.default_design();
     let mut group = c.benchmark_group("surrogate");
     group.bench_function("power_predict", |bench| {

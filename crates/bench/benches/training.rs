@@ -9,6 +9,7 @@ use pnc_core::{NetworkConfig, PrintedNetwork};
 use pnc_datasets::{Dataset, DatasetId};
 use pnc_linalg::rng as lrng;
 use pnc_spice::AfKind;
+use pnc_telemetry::Telemetry;
 use pnc_train::auglag::{train_auglag, AugLagConfig};
 use pnc_train::penalty::{train_penalty, PenaltyConfig};
 use pnc_train::trainer::{fit, DataRefs, TrainConfig};
@@ -19,8 +20,12 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
-    let act = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke())
-        .expect("surrogate fit");
+    let act = LearnableActivation::fit(
+        AfKind::PTanh,
+        &SurrogateFidelity::smoke(),
+        &Telemetry::disabled(),
+    )
+    .expect("surrogate fit");
     let neg = fit_negation_model(9).expect("negation fit");
     let mut rng = lrng::seeded(7);
     let net = PrintedNetwork::new(4, 3, NetworkConfig::default(), act, neg, &mut rng)

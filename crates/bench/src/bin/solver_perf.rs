@@ -1,12 +1,15 @@
-//! Sparse/warm-start solve-path benchmark: characterization cost per
+//! Solver benchmark: characterization cost and hardness per
 //! activation-function kind with the pattern-reusing solver and
 //! block-synchronous warm starts engaged (`BENCH_8.json`).
 //!
-//! Runs the same per-kind characterization as `solver_obs` (which
-//! produced `BENCH_7.json` before warm starting existed), records the
-//! solver rollups — now including factorization-reuse and warm-start
-//! counters — and, when a baseline snapshot recorded at the same scale
-//! is readable, prints the per-kind Newton-iteration reduction and
+//! Runs surrogate characterization for each printed AF cell with the
+//! solve-trace recorder and the hardness atlas enabled, records the
+//! solver rollups — factorization-reuse and warm-start counters plus
+//! the observatory fields: the Hager/Higham condition estimate, the
+//! sparsity-fingerprint cardinality and the distance↔iterations
+//! correlation — and, when a baseline snapshot recorded at the same
+//! scale is readable (`BENCH_7.json`, recorded before warm starting
+//! existed), prints the per-kind Newton-iteration reduction and
 //! enforces the ≥25% aggregate-reduction gate. The existing `trend`
 //! binary consumes the output unchanged.
 //!
@@ -124,7 +127,7 @@ fn run(
     println!("Wrote {out}");
     for d in &snap.datasets {
         println!(
-            "  {:<14} {:>9.1} ms   {:>6} solves   {:>7} iters   {:>6} warm   {:>4} fact + {:>6} refact",
+            "  {:<14} {:>9.1} ms   {:>6} solves   {:>7} iters   {:>6} warm   {:>4} fact + {:>6} refact   max cond1 {:>10.3e}   {} pattern(s)   dist↔iters {:+.3}",
             d.dataset,
             d.wall_ms,
             d.solver.solves,
@@ -132,6 +135,9 @@ fn run(
             d.solver.warm_started_solves,
             d.solver.factorizations,
             d.solver.refactorizations,
+            d.solver.max_cond1_estimate,
+            d.solver.fingerprint_cardinality,
+            d.solver.distance_iters_correlation,
         );
     }
 

@@ -103,7 +103,7 @@ pub fn fit_bundle_traced(
     tel: &pnc_telemetry::Telemetry,
 ) -> Result<AfBundle, BenchError> {
     let activation =
-        LearnableActivation::fit_with(kind, &fidelity.surrogate, tel).map_err(|source| {
+        LearnableActivation::fit(kind, &fidelity.surrogate, tel).map_err(|source| {
             BenchError::Surrogate {
                 context: kind.name(),
                 source,

@@ -576,7 +576,7 @@ fn cmd_characterize(args: &Args) -> Result<(), String> {
             .with_str("kind", kind.name())
             .with_u64("samples", fidelity.power.samples as u64)
     });
-    let act = match LearnableActivation::fit_with(kind, &fidelity, &tel) {
+    let act = match LearnableActivation::fit(kind, &fidelity, &tel) {
         Ok(act) => act,
         Err(e) => {
             abort_solver_observation(observing);
@@ -707,8 +707,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let split = custom.split(seed);
     let data = DataRefs::from_split(&split);
 
-    let activation =
-        LearnableActivation::fit_with(kind, &fidelity, &tel).map_err(|e| e.to_string())?;
+    let activation = LearnableActivation::fit(kind, &fidelity, &tel).map_err(|e| e.to_string())?;
     let negation = fit_negation_model(fidelity.transfer_grid).map_err(|e| e.to_string())?;
 
     let mut rng = pnc_linalg::rng::seeded(seed);

@@ -22,7 +22,7 @@ use pnc_autodiff::{Tape, Var};
 use pnc_linalg::Matrix;
 use pnc_spice::AfKind;
 use pnc_surrogate::{
-    fit_negation, fit_transfer_with, NegationModel, PowerSurrogate, PowerSurrogateConfig,
+    fit_negation, fit_transfer, NegationModel, PowerSurrogate, PowerSurrogateConfig,
     SurrogateError, TransferModel,
 };
 use pnc_telemetry::Telemetry;
@@ -82,31 +82,21 @@ pub struct LearnableActivation {
 }
 
 impl LearnableActivation {
-    /// Fits the surrogate pair for `kind` at the given fidelity.
+    /// Fits the surrogate pair for `kind` at the given fidelity,
+    /// streaming characterization and surrogate-training telemetry
+    /// (Sobol progress, MLP loss curves, fit summaries) to `tel`.
     ///
     /// # Errors
     ///
     /// Propagates surrogate fitting failures.
-    pub fn fit(kind: AfKind, fidelity: &SurrogateFidelity) -> Result<Self, SurrogateError> {
-        Self::fit_with(kind, fidelity, &Telemetry::disabled())
-    }
-
-    /// Like [`LearnableActivation::fit`] but streams characterization
-    /// and surrogate-training telemetry (Sobol progress, MLP loss
-    /// curves, fit summaries) to a sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate fitting failures.
-    pub fn fit_with(
+    pub fn fit(
         kind: AfKind,
         fidelity: &SurrogateFidelity,
         tel: &Telemetry,
     ) -> Result<Self, SurrogateError> {
         let span = tel.span("activation_fit");
-        let transfer =
-            fit_transfer_with(kind, fidelity.transfer_samples, fidelity.transfer_grid, tel)?;
-        let power = PowerSurrogate::fit_with(kind, &fidelity.power, tel)?;
+        let transfer = fit_transfer(kind, fidelity.transfer_samples, fidelity.transfer_grid, tel)?;
+        let power = PowerSurrogate::fit(kind, &fidelity.power, tel)?;
         drop(span);
         Ok(Self::from_parts(kind, transfer, power))
     }
@@ -252,7 +242,19 @@ mod tests {
     use pnc_linalg::rng as lrng;
 
     fn smoke_activation(kind: AfKind) -> LearnableActivation {
-        LearnableActivation::fit(kind, &SurrogateFidelity::smoke()).unwrap()
+        LearnableActivation::fit(kind, &SurrogateFidelity::smoke(), &Telemetry::disabled()).unwrap()
+    }
+
+    #[test]
+    fn profiled_fit_records_both_mlp_fits() {
+        use pnc_telemetry::Profiler;
+        let tel = Telemetry::disabled().with_profiler(Profiler::enabled());
+        LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke(), &tel).unwrap();
+        let report = tel.profiler().report();
+        let mlp_fit = report.phases.iter().find(|p| p.name == "mlp_fit");
+        // One for the power surrogate, one for the transfer surrogate's
+        // coefficient regressor.
+        assert_eq!(mlp_fit.map(|p| p.calls), Some(2), "{}", report.render());
     }
 
     #[test]

@@ -30,6 +30,7 @@ use pnc_spice::netlist::{Circuit, Element};
 use pnc_spice::power::total_power;
 use pnc_spice::variation::VariationModel;
 use pnc_spice::{NodeId, SpiceError};
+use pnc_telemetry::Telemetry;
 
 /// Lowering options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +118,7 @@ impl ExportedNetwork {
             max_iterations: 300,
             ..SolverConfig::default()
         };
-        let op = solve_dc_with(&c, &cfg, None)?;
+        let op = solve_dc_with(&c, &cfg, None, &Telemetry::disabled())?;
         Ok(self.output_nodes.iter().map(|&n| op.voltage(n)).collect())
     }
 
@@ -157,7 +158,7 @@ impl ExportedNetwork {
             max_iterations: 300,
             ..SolverConfig::default()
         };
-        let op = solve_dc_with(&c, &cfg, None)?;
+        let op = solve_dc_with(&c, &cfg, None, &Telemetry::disabled())?;
         let outs = self.output_nodes.iter().map(|&n| op.voltage(n)).collect();
         Ok((outs, total_power(&c, &op)))
     }
@@ -536,7 +537,12 @@ mod tests {
     fn parts() -> &'static (LearnableActivation, NegationModel) {
         static CELL: OnceLock<(LearnableActivation, NegationModel)> = OnceLock::new();
         CELL.get_or_init(|| {
-            let act = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke()).unwrap();
+            let act = LearnableActivation::fit(
+                AfKind::PTanh,
+                &SurrogateFidelity::smoke(),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             let neg = crate::activation::fit_negation_model(9).unwrap();
             (act, neg)
         })

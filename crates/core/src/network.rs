@@ -541,6 +541,7 @@ mod tests {
     use super::*;
     use crate::activation::SurrogateFidelity;
     use pnc_spice::AfKind;
+    use pnc_telemetry::Telemetry;
     use std::sync::OnceLock;
 
     /// Shared smoke-fidelity activation so the test battery fits one
@@ -548,7 +549,12 @@ mod tests {
     fn smoke_parts() -> &'static (LearnableActivation, NegationModel) {
         static CELL: OnceLock<(LearnableActivation, NegationModel)> = OnceLock::new();
         CELL.get_or_init(|| {
-            let act = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke()).unwrap();
+            let act = LearnableActivation::fit(
+                AfKind::PTanh,
+                &SurrogateFidelity::smoke(),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             let neg = crate::activation::fit_negation_model(9).unwrap();
             (act, neg)
         })

@@ -16,6 +16,7 @@ use pnc_core::{LearnableActivation, NetworkConfig, PrintedNetwork};
 use pnc_linalg::rng as lrng;
 use pnc_spice::AfKind;
 use pnc_surrogate::NegationModel;
+use pnc_telemetry::Telemetry;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -25,7 +26,12 @@ use std::sync::OnceLock;
 fn smoke_parts() -> &'static (LearnableActivation, NegationModel) {
     static CELL: OnceLock<(LearnableActivation, NegationModel)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let act = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke()).unwrap();
+        let act = LearnableActivation::fit(
+            AfKind::PTanh,
+            &SurrogateFidelity::smoke(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let neg = fit_negation_model(9).unwrap();
         (act, neg)
     })

@@ -8,9 +8,10 @@
 //!
 //! * a netlist builder ([`AfKind::build`]) over the nEGT compact model,
 //! * the feasible design space `ℚ^AF` ([`AfKind::bounds`]),
-//! * reference transfer-curve and power evaluation via DC analysis
-//!   ([`transfer_curve`], [`mean_power`]) — the ground truth that the
-//!   surrogate MLPs in `pnc-surrogate` are trained against.
+//! * reference transfer-curve and power evaluation via one DC sweep per
+//!   design ([`sweep_design`]; [`transfer_curve`] and [`mean_power`]
+//!   project it) — the ground truth that the surrogate MLPs in
+//!   `pnc-surrogate` are trained against.
 //!
 //! Signal convention: the pNC operates on bipolar signals in `[−1, 1]`
 //! with supplies `V_DD = +1 V`, `V_SS = −1 V` (nEGTs allow sub-1V
@@ -35,7 +36,7 @@
 //!   output taken at the reference-side drain: symmetric tanh-like
 //!   transfer centred at 0.
 
-use crate::dc::{dc_sweep, linspace, sweep};
+use crate::dc::{dc_sweep, linspace, SweepResult};
 use crate::netlist::{Circuit, NodeId};
 use crate::power::total_power;
 use crate::SpiceError;
@@ -272,25 +273,99 @@ pub fn input_grid(points: usize) -> Vec<f64> {
     linspace(VSS, VDD, points)
 }
 
+/// One DC sweep of an AF design over an input grid — the single
+/// simulation behind its transfer curve, its power curve and the
+/// per-point solved states that warm-start nearby designs.
+#[derive(Debug)]
+pub struct DesignSweep {
+    circuit: Circuit,
+    source: usize,
+    output: NodeId,
+    sweep: SweepResult,
+}
+
+impl DesignSweep {
+    /// Output voltage at each grid input: the transfer curve
+    /// `V_out(V_in)`.
+    pub fn transfer(&self) -> Vec<f64> {
+        self.sweep.node_curve(self.output)
+    }
+
+    /// Power drawn at each grid input (watts). Only dissipation in the
+    /// AF itself is counted (the input source is ideal).
+    ///
+    /// # Errors
+    ///
+    /// Propagates element errors from re-applying the swept input.
+    pub fn power(&self) -> Result<Vec<f64>, SpiceError> {
+        let mut swept = self.circuit.clone();
+        let mut powers = Vec::with_capacity(self.sweep.points.len());
+        for (op, &v) in self.sweep.points.iter().zip(&self.sweep.inputs) {
+            swept.set_vsource(self.source, v)?;
+            powers.push(total_power(&swept, op));
+        }
+        Ok(powers)
+    }
+
+    /// Mean of [`DesignSweep::power`] over the grid.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`DesignSweep::power`].
+    pub fn mean_power(&self) -> Result<f64, SpiceError> {
+        let p = self.power()?;
+        Ok(p.iter().sum::<f64>() / p.len() as f64)
+    }
+
+    /// The solved state of every grid point, in grid order — the
+    /// `donor` a sweep of a nearby design warm-starts from.
+    pub fn states(&self) -> Vec<Vec<f64>> {
+        self.sweep.points.iter().map(|op| op.state()).collect()
+    }
+}
+
+/// Sweeps the input of an AF design over `inputs`, warm-starting from
+/// `donor` (the solved states of the same grid on a nearby design)
+/// when given — see [`dc_sweep`]. With an *enabled*
+/// [`pnc_telemetry::Profiler`] on `tel` each grid solve records a
+/// `dc_solve` span.
+///
+/// # Errors
+///
+/// Propagates DC convergence errors.
+pub fn sweep_design(
+    design: &AfDesign,
+    inputs: &[f64],
+    donor: Option<&[Vec<f64>]>,
+    tel: &Telemetry,
+) -> Result<DesignSweep, SpiceError> {
+    let (circuit, source, output) = design.kind.build(design);
+    let sweep = dc_sweep(&circuit, source, inputs, donor, tel)?;
+    Ok(DesignSweep {
+        circuit,
+        source,
+        output,
+        sweep,
+    })
+}
+
 /// Simulated transfer curve `V_out(V_in)` of an AF design over `inputs`.
 ///
 /// # Errors
 ///
 /// Propagates DC convergence errors.
 pub fn transfer_curve(design: &AfDesign, inputs: &[f64]) -> Result<Vec<f64>, SpiceError> {
-    let (c, src, out) = design.kind.build(design);
-    Ok(dc_sweep(&c, src, inputs)?.node_curve(out))
+    Ok(sweep_design(design, inputs, None, &Telemetry::disabled())?.transfer())
 }
 
 /// Simulated power curve `P(V_in)` (watts) of an AF design over
-/// `inputs`. Only dissipation in the AF itself is counted (the input
-/// source is ideal).
+/// `inputs` — see [`DesignSweep::power`].
 ///
 /// # Errors
 ///
 /// Propagates DC convergence errors.
 pub fn power_curve(design: &AfDesign, inputs: &[f64]) -> Result<Vec<f64>, SpiceError> {
-    Ok(power_curve_with_states(design, inputs, None, &Telemetry::disabled())?.0)
+    sweep_design(design, inputs, None, &Telemetry::disabled())?.power()
 }
 
 /// Mean power over the standard input grid — the scalar target the
@@ -300,76 +375,13 @@ pub fn power_curve(design: &AfDesign, inputs: &[f64]) -> Result<Vec<f64>, SpiceE
 ///
 /// Propagates DC convergence errors.
 pub fn mean_power(design: &AfDesign, grid_points: usize) -> Result<f64, SpiceError> {
-    let p = power_curve(design, &input_grid(grid_points))?;
-    Ok(p.iter().sum::<f64>() / p.len() as f64)
-}
-
-/// [`power_curve`] that also warm-starts from `donor` (the solved
-/// states of the same grid on a nearby design) and returns the solved
-/// state of every grid point alongside the curve — the currency of
-/// warm-started Sobol characterization. With an *enabled*
-/// [`pnc_telemetry::Profiler`] on `tel` each grid solve records a
-/// `dc_solve` span.
-///
-/// # Errors
-///
-/// Propagates DC convergence errors.
-pub fn power_curve_with_states(
-    design: &AfDesign,
-    inputs: &[f64],
-    donor: Option<&[Vec<f64>]>,
-    tel: &Telemetry,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), SpiceError> {
-    let (c, src, _) = design.kind.build(design);
-    let mut swept = c.clone();
-    let mut powers = Vec::with_capacity(inputs.len());
-    let mut states = Vec::with_capacity(inputs.len());
-    for (op, &v) in sweep(&c, src, inputs, donor, tel)?
-        .points
-        .iter()
-        .zip(inputs)
-    {
-        swept.set_vsource(src, v)?;
-        powers.push(total_power(&swept, op));
-        states.push(op.state());
-    }
-    Ok((powers, states))
-}
-
-/// [`mean_power`] with donor warm-start states — see
-/// [`power_curve_with_states`].
-///
-/// # Errors
-///
-/// Propagates DC convergence errors.
-pub fn mean_power_with_states(
-    design: &AfDesign,
-    grid_points: usize,
-    donor: Option<&[Vec<f64>]>,
-    tel: &Telemetry,
-) -> Result<(f64, Vec<Vec<f64>>), SpiceError> {
-    let (p, states) = power_curve_with_states(design, &input_grid(grid_points), donor, tel)?;
-    Ok((p.iter().sum::<f64>() / p.len() as f64, states))
-}
-
-/// [`transfer_curve`] with donor warm-start states — see
-/// [`power_curve_with_states`].
-///
-/// # Errors
-///
-/// Propagates DC convergence errors.
-pub fn transfer_curve_with_states(
-    design: &AfDesign,
-    inputs: &[f64],
-    donor: Option<&[Vec<f64>]>,
-    tel: &Telemetry,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), SpiceError> {
-    let (c, src, out) = design.kind.build(design);
-    let points = sweep(&c, src, inputs, donor, tel)?.points;
-    Ok((
-        points.iter().map(|op| op.voltage(out)).collect(),
-        points.iter().map(|op| op.state()).collect(),
-    ))
+    sweep_design(
+        design,
+        &input_grid(grid_points),
+        None,
+        &Telemetry::disabled(),
+    )?
+    .mean_power()
 }
 
 /// Builds the standard-cell negation (inverter) circuit used for
@@ -410,7 +422,7 @@ pub fn attach_negation(c: &mut Circuit, vdd: NodeId, vss: NodeId, vin: NodeId) -
 /// Propagates DC convergence errors.
 pub fn negation_transfer(inputs: &[f64]) -> Result<Vec<f64>, SpiceError> {
     let (c, src, out) = negation_circuit();
-    let sweep = dc_sweep(&c, src, inputs)?;
+    let sweep = dc_sweep(&c, src, inputs, None, &Telemetry::disabled())?;
     Ok(sweep.node_curve(out))
 }
 

@@ -282,22 +282,12 @@ fn newton_attempt(
 /// and [`SpiceError::NonConvergence`] when Newton and the supply-ramp
 /// homotopy both fail.
 pub fn solve_dc(circuit: &Circuit) -> Result<OperatingPoint, SpiceError> {
-    solve_dc_with(circuit, &SolverConfig::default(), None)
-}
-
-/// Solves for the DC operating point with explicit settings and an
-/// optional warm-start guess (`voltages ++ source currents`) — exactly
-/// [`solve_dc_traced`] with a disabled telemetry handle.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_dc_traced`].
-pub fn solve_dc_with(
-    circuit: &Circuit,
-    cfg: &SolverConfig,
-    warm_start: Option<&[f64]>,
-) -> Result<OperatingPoint, SpiceError> {
-    solve_dc_traced(circuit, cfg, warm_start, &Telemetry::disabled())
+    solve_dc_with(
+        circuit,
+        &SolverConfig::default(),
+        None,
+        &Telemetry::disabled(),
+    )
 }
 
 /// Runs a DC solve with trace capture *forced on*, independent of the
@@ -348,7 +338,7 @@ pub fn solve_dc_captured(
 /// [`SpiceError::NonConvergence`] carries the *total* Newton
 /// iterations spent across the plain attempt and every ramp stage, so
 /// failure cost is attributable from the error alone.
-pub fn solve_dc_traced(
+pub fn solve_dc_with(
     circuit: &Circuit,
     cfg: &SolverConfig,
     warm_start: Option<&[f64]>,
@@ -540,20 +530,6 @@ impl SweepResult {
     }
 }
 
-/// Sweeps the EMF of the voltage source at element index `source_index`
-/// over `values`, warm-starting each solve from the previous solutions.
-///
-/// # Errors
-///
-/// Propagates element and convergence errors.
-pub fn dc_sweep(
-    circuit: &Circuit,
-    source_index: usize,
-    values: &[f64],
-) -> Result<SweepResult, SpiceError> {
-    sweep(circuit, source_index, values, None, &Telemetry::disabled())
-}
-
 /// Residual inf-norm of a candidate state at the circuit's current
 /// element values: one assembly with the Jacobian entries discarded,
 /// no factorization. Cheap enough to rank several warm-start
@@ -582,9 +558,10 @@ fn best_warm_candidate(circuit: &Circuit, cands: &[Vec<f64>]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// The one continuation sweep behind [`dc_sweep`] and the AF curve
-/// functions: sweeps `source_index` over `values`, seeding each Newton
-/// solve from the best of these warm-start candidates:
+/// Sweeps the EMF of the voltage source at element index
+/// `source_index` over `values` — the one continuation sweep behind
+/// every DC sweep and AF curve — seeding each Newton solve from the
+/// best of these warm-start candidates:
 ///
 /// * **chain** — the converged state of point `k−1`,
 /// * **secant** — `2·x_{k−1} − x_{k−2}` (error `O(h²)` in the grid
@@ -609,7 +586,7 @@ fn best_warm_candidate(circuit: &Circuit, cands: &[Vec<f64>]) -> Option<usize> {
 /// # Errors
 ///
 /// Propagates element and convergence errors.
-pub(crate) fn sweep(
+pub fn dc_sweep(
     circuit: &Circuit,
     source_index: usize,
     values: &[f64],
@@ -654,7 +631,7 @@ pub(crate) fn sweep(
             cands.push(dk.clone());
         }
         let warm = best_warm_candidate(&swept, &cands).map(|i| cands[i].as_slice());
-        let op = solve_dc_traced(&swept, &cfg, warm, solve_tel)?;
+        let op = solve_dc_with(&swept, &cfg, warm, solve_tel)?;
         prev3 = prev2.take();
         prev2 = prev.take();
         prev = Some(op.state());
@@ -789,7 +766,14 @@ mod tests {
         let src = c.vsource(vin, Circuit::GROUND, 0.0);
         c.egt(vdd, vin, out, 4e-4, 1e-5);
         c.resistor(out, Circuit::GROUND, 200_000.0);
-        let sweep = dc_sweep(&c, src, &linspace(-1.0, 1.0, 41)).unwrap();
+        let sweep = dc_sweep(
+            &c,
+            src,
+            &linspace(-1.0, 1.0, 41),
+            None,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let curve = sweep.node_curve(out);
         // Margin: accepted points satisfy |f(x)| < 1e-12 A, which over
         // this circuit's ~5 µS output-node conductance allows ~2e-7 V
@@ -808,7 +792,7 @@ mod tests {
         let a = c.node("a");
         c.vsource(a, Circuit::GROUND, 1.0);
         let r_idx = c.resistor(a, Circuit::GROUND, 100.0);
-        assert!(dc_sweep(&c, r_idx, &[0.0, 1.0]).is_err());
+        assert!(dc_sweep(&c, r_idx, &[0.0, 1.0], None, &Telemetry::disabled()).is_err());
     }
 
     #[test]
@@ -865,7 +849,7 @@ mod tests {
         c.resistor(vdd, out, 10_000.0);
         c.egt(out, vdd, Circuit::GROUND, 1e-4, 2e-5);
         let cfg = SolverConfig::default();
-        let op = solve_dc_with(&c, &cfg, None).unwrap();
+        let op = solve_dc_with(&c, &cfg, None, &Telemetry::disabled()).unwrap();
         assert!(op.final_residual() <= cfg.residual_tol_amps);
     }
 
@@ -885,7 +869,7 @@ mod tests {
             ramp_stages: 3,
             ..SolverConfig::default()
         };
-        match solve_dc_with(&c, &cfg, None) {
+        match solve_dc_with(&c, &cfg, None, &Telemetry::disabled()) {
             Err(SpiceError::NonConvergence { iterations, .. }) => {
                 // 1 (plain) + 3 ramp stages × 1 = 4.
                 assert_eq!(iterations, 4);
@@ -896,7 +880,7 @@ mod tests {
 
     #[test]
     fn traced_solve_emits_events_and_matches_plain() {
-        use pnc_telemetry::{MemorySink, Telemetry};
+        use pnc_telemetry::MemorySink;
         use std::sync::Arc;
 
         let mut c = Circuit::new();
@@ -909,8 +893,8 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let tel = Telemetry::with_sink(sink.clone());
         let cfg = SolverConfig::default();
-        let traced = solve_dc_traced(&c, &cfg, None, &tel).unwrap();
-        let plain = solve_dc_with(&c, &cfg, None).unwrap();
+        let traced = solve_dc_with(&c, &cfg, None, &tel).unwrap();
+        let plain = solve_dc_with(&c, &cfg, None, &Telemetry::disabled()).unwrap();
         assert_eq!(traced.voltage(out), plain.voltage(out));
 
         let events = sink.events_named("dc_solve");
@@ -932,7 +916,7 @@ mod tests {
             ramp_stages: 2,
             ..SolverConfig::default()
         };
-        assert!(solve_dc_traced(&hard, &tight, None, &tel).is_err());
+        assert!(solve_dc_with(&hard, &tight, None, &tel).is_err());
         let fails = sink.events_named("dc_solve_failed");
         assert_eq!(fails.len(), 1);
         assert_eq!(fails[0].get_u64("iterations"), Some(3));
@@ -1067,7 +1051,7 @@ mod tests {
         c.resistor(vin, out, 10_000.0);
         c.resistor(out, Circuit::GROUND, 10_000.0);
         let values = linspace(-1.0, 1.0, 9);
-        let sweep = dc_sweep(&c, src, &values).unwrap();
+        let sweep = dc_sweep(&c, src, &values, None, &Telemetry::disabled()).unwrap();
         for (p, &v) in sweep.points.iter().zip(&values) {
             // GMIN loads the divider by a few parts in 1e9.
             assert!((p.voltage(out) - v / 2.0).abs() < 1e-7, "at v = {v}");
@@ -1089,8 +1073,8 @@ mod tests {
         c.resistor(vdd, out, 50_000.0);
         c.egt(out, vin, Circuit::GROUND, 1e-4, 2e-5);
         let cfg = SolverConfig::default();
-        let cold = solve_dc_with(&c, &cfg, None).unwrap();
-        let warm = solve_dc_with(&c, &cfg, Some(&cold.state())).unwrap();
+        let cold = solve_dc_with(&c, &cfg, None, &Telemetry::disabled()).unwrap();
+        let warm = solve_dc_with(&c, &cfg, Some(&cold.state()), &Telemetry::disabled()).unwrap();
         assert!(warm.iterations() <= cold.iterations());
     }
 }

@@ -56,7 +56,7 @@ pub mod transient;
 pub mod variation;
 
 pub use af::{AfDesign, AfKind};
-pub use dc::{solve_dc, solve_dc_captured, solve_dc_traced, OperatingPoint};
+pub use dc::{solve_dc, solve_dc_captured, solve_dc_with, OperatingPoint};
 pub use device::EgtModel;
 pub use error::SpiceError;
 pub use netlist::{Circuit, NodeId};

@@ -4,8 +4,8 @@
 //! module answers "what did the numerics look like while it happened".
 //! When enabled (off by default — the only cost on the hot path is one
 //! relaxed atomic load per solve plus a handful of thread-local
-//! counter bumps), every `solve_dc_with` / `solve_dc_traced` call
-//! records a [`SolveTrace`]:
+//! counter bumps), every [`crate::dc::solve_dc_with`] call records a
+//! [`SolveTrace`]:
 //!
 //! * the Newton residual trajectory (`‖f‖∞` per iteration) and the
 //!   damped step sizes (`‖Δx‖∞` after damping),

@@ -20,6 +20,7 @@
 use crate::dc::{solve_dc_with, SolverConfig};
 use crate::netlist::{Circuit, Element};
 use crate::SpiceError;
+use pnc_telemetry::Telemetry;
 
 /// Result of a transient run.
 #[derive(Debug, Clone)]
@@ -135,7 +136,7 @@ pub fn transient(
     let cfg = SolverConfig::default();
 
     // Initial condition: DC point with capacitors open.
-    let op0 = solve_dc_with(circuit, &cfg, None)?;
+    let op0 = solve_dc_with(circuit, &cfg, None, &Telemetry::disabled())?;
     let mut v_prev = op0.all_voltages();
 
     let steps = (tstop_seconds / dt_seconds).ceil() as usize;
@@ -147,7 +148,7 @@ pub fn transient(
     let mut warm: Option<Vec<f64>> = None;
     for k in 1..=steps {
         let comp = companion(circuit, dt_seconds, &v_prev);
-        let op = solve_dc_with(&comp, &cfg, warm.as_deref())?;
+        let op = solve_dc_with(&comp, &cfg, warm.as_deref(), &Telemetry::disabled())?;
         let v_now = op.all_voltages();
         let mut state = v_now[1..].to_vec();
         for b in 0..comp.branch_count() {
@@ -179,7 +180,7 @@ pub fn step_response(
     let mut before = circuit.clone();
     before.set_vsource(source_index, v_initial_volts)?;
     let cfg = SolverConfig::default();
-    let op0 = solve_dc_with(&before, &cfg, None)?;
+    let op0 = solve_dc_with(&before, &cfg, None, &Telemetry::disabled())?;
     let mut v_prev = op0.all_voltages();
 
     // Post-switch circuit, integrated from the pre-switch state.
@@ -196,7 +197,7 @@ pub fn step_response(
     let mut warm: Option<Vec<f64>> = None;
     for k in 1..=steps {
         let comp = companion(&after, dt_seconds, &v_prev);
-        let op = solve_dc_with(&comp, &cfg, warm.as_deref())?;
+        let op = solve_dc_with(&comp, &cfg, warm.as_deref(), &Telemetry::disabled())?;
         let v_now = op.all_voltages();
         let mut state = v_now[1..].to_vec();
         for b in 0..comp.branch_count() {

@@ -50,8 +50,8 @@ pub fn take() -> Vec<AtlasPoint> {
     std::mem::take(&mut *POINTS.lock().unwrap())
 }
 
-/// Appends one point (called from the compaction pass of
-/// `generate_traced`).
+/// Appends one point (called from the compaction pass of the Sobol
+/// characterization driver in [`crate::sampling`]).
 pub(crate) fn record(point: AtlasPoint) {
     // lint: allow(L001, reason = "mutex poisoning only follows a recorder panic; nothing to recover")
     POINTS.lock().unwrap().push(point);

@@ -44,4 +44,4 @@ pub use mlp::{Mlp, MlpConfig, TrainReport};
 pub use negation::{fit_negation, NegationModel};
 pub use power_model::{PowerSurrogate, PowerSurrogateConfig};
 pub use sampling::{AfPowerDataset, AfTransferDataset};
-pub use transfer::{fit_transfer, fit_transfer_with, BaseShape, TransferModel};
+pub use transfer::{fit_transfer, BaseShape, TransferModel};

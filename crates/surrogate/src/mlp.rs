@@ -170,24 +170,14 @@ impl Mlp {
     }
 
     /// Trains on `(x, y)` with mean-squared error and Adam, mutating the
-    /// network in place.
+    /// network in place. Streams the training-loss curve to `tel`: one
+    /// `mlp_epoch` debug event per reporting stride (~50 points across
+    /// the run, plus the final epoch), under an `mlp_fit` span.
     ///
     /// # Panics
     ///
     /// Panics on row-count or width mismatches.
-    pub fn train(&mut self, x: &Matrix, y: &Matrix, cfg: &MlpConfig) -> TrainReport {
-        self.train_traced(x, y, cfg, &Telemetry::disabled())
-    }
-
-    /// Like [`Mlp::train`] but streams the training-loss curve to a
-    /// telemetry sink: one `mlp_epoch` debug event per reporting stride
-    /// (~50 points across the run, plus the final epoch). A disabled
-    /// handle makes this exactly [`Mlp::train`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Mlp::train`].
-    pub fn train_traced(
+    pub fn train(
         &mut self,
         x: &Matrix,
         y: &Matrix,
@@ -365,7 +355,7 @@ mod tests {
             lr: 1e-2,
             ..MlpConfig::default()
         };
-        let rep = mlp.train(&x, &y, &cfg);
+        let rep = mlp.train(&x, &y, &cfg, &Telemetry::disabled());
         assert!(rep.final_train_mse < 5e-3, "mse {}", rep.final_train_mse);
     }
 
@@ -385,7 +375,7 @@ mod tests {
             lr: 5e-3,
             ..MlpConfig::default()
         };
-        let rep = mlp.train(&x, &y, &cfg);
+        let rep = mlp.train(&x, &y, &cfg, &Telemetry::disabled());
         assert!(rep.final_train_mse < 5e-3, "mse {}", rep.final_train_mse);
     }
 
@@ -400,7 +390,7 @@ mod tests {
             batch_size: 32,
             ..MlpConfig::default()
         };
-        let rep = mlp.train(&x, &y, &cfg);
+        let rep = mlp.train(&x, &y, &cfg, &Telemetry::disabled());
         assert!(rep.final_train_mse < 1e-2, "mse {}", rep.final_train_mse);
     }
 

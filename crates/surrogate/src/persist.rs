@@ -217,10 +217,16 @@ mod tests {
     use crate::power_model::PowerSurrogateConfig;
     use crate::transfer::fit_transfer;
     use pnc_linalg::Matrix;
+    use pnc_telemetry::Telemetry;
 
     #[test]
     fn power_roundtrip_is_exact() {
-        let model = PowerSurrogate::fit(AfKind::PRelu, &PowerSurrogateConfig::smoke()).unwrap();
+        let model = PowerSurrogate::fit(
+            AfKind::PRelu,
+            &PowerSurrogateConfig::smoke(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let text = power_to_string(&model);
         let restored = power_from_string(&text).unwrap();
         let d = AfKind::PRelu.default_design();
@@ -231,7 +237,7 @@ mod tests {
 
     #[test]
     fn transfer_roundtrip_is_exact() {
-        let model = fit_transfer(AfKind::PTanh, 12, 9).unwrap();
+        let model = fit_transfer(AfKind::PTanh, 12, 9, &Telemetry::disabled()).unwrap();
         let text = transfer_to_string(&model);
         let restored = transfer_from_string(&text).unwrap();
         let d = AfKind::PTanh.default_design();
@@ -245,7 +251,12 @@ mod tests {
 
     #[test]
     fn corrupted_files_are_rejected_with_context() {
-        let model = PowerSurrogate::fit(AfKind::PRelu, &PowerSurrogateConfig::smoke()).unwrap();
+        let model = PowerSurrogate::fit(
+            AfKind::PRelu,
+            &PowerSurrogateConfig::smoke(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let text = power_to_string(&model);
 
         let missing_key = text.replace("x_mean", "x_nope");
@@ -259,7 +270,12 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
-        let model = PowerSurrogate::fit(AfKind::PRelu, &PowerSurrogateConfig::smoke()).unwrap();
+        let model = PowerSurrogate::fit(
+            AfKind::PRelu,
+            &PowerSurrogateConfig::smoke(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let text = format!("# header\n\n{}\n# trailer\n", power_to_string(&model));
         assert!(power_from_string(&text).is_ok());
     }

@@ -77,54 +77,32 @@ pub struct PowerSurrogate {
 
 impl PowerSurrogate {
     /// Fits a surrogate for `kind` by sampling the design space and
-    /// training the MLP.
+    /// training the MLP, streaming characterization progress, MLP
+    /// loss-curve events and a final `surrogate_fit` summary to `tel`.
     ///
     /// # Errors
     ///
     /// Propagates sampling errors; returns
     /// [`SurrogateError::NotEnoughData`] when fewer than 16 samples
     /// survive simulation.
-    pub fn fit(kind: AfKind, cfg: &PowerSurrogateConfig) -> Result<Self, SurrogateError> {
-        Self::fit_with(kind, cfg, &Telemetry::disabled())
-    }
-
-    /// Like [`PowerSurrogate::fit`] but streams characterization
-    /// progress, MLP loss-curve events, and a final `surrogate_fit`
-    /// summary to a telemetry sink.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`PowerSurrogate::fit`].
-    pub fn fit_with(
+    pub fn fit(
         kind: AfKind,
         cfg: &PowerSurrogateConfig,
         tel: &Telemetry,
     ) -> Result<Self, SurrogateError> {
-        let ds = AfPowerDataset::generate_traced(kind, cfg.samples, cfg.grid_points, tel)?;
-        Self::fit_from_dataset_with(&ds, &cfg.mlp, tel)
+        let ds = AfPowerDataset::generate(kind, cfg.samples, cfg.grid_points, tel)?;
+        Self::fit_from_dataset(&ds, &cfg.mlp, tel)
     }
 
-    /// Fits from an existing characterization dataset.
+    /// Fits from an existing characterization dataset, emitting
+    /// `mlp_epoch` loss-curve events during training plus a final
+    /// `surrogate_fit` info event with the validation R².
     ///
     /// # Errors
     ///
     /// Returns [`SurrogateError::NotEnoughData`] when the dataset is too
     /// small to leave a validation split.
     pub fn fit_from_dataset(
-        ds: &AfPowerDataset,
-        mlp_cfg: &MlpConfig,
-    ) -> Result<Self, SurrogateError> {
-        Self::fit_from_dataset_with(ds, mlp_cfg, &Telemetry::disabled())
-    }
-
-    /// Like [`PowerSurrogate::fit_from_dataset`] but emits `mlp_epoch`
-    /// loss-curve events during training plus a final `surrogate_fit`
-    /// info event with the validation R².
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`PowerSurrogate::fit_from_dataset`].
-    pub fn fit_from_dataset_with(
         ds: &AfPowerDataset,
         mlp_cfg: &MlpConfig,
         tel: &Telemetry,
@@ -156,7 +134,7 @@ impl PowerSurrogate {
 
         let mut rng = lrng::seeded(mlp_cfg.seed);
         let mut mlp = Mlp::new(xtr.cols(), &mlp_cfg.hidden, 1, &mut rng);
-        mlp.train_traced(&xtr, &ytr, mlp_cfg, tel);
+        mlp.train(&xtr, &ytr, mlp_cfg, tel);
 
         // Validation R² in log10-power space.
         let pred_std = {
@@ -301,7 +279,7 @@ mod tests {
     use pnc_spice::af::mean_power;
 
     fn smoke_surrogate(kind: AfKind) -> PowerSurrogate {
-        PowerSurrogate::fit(kind, &PowerSurrogateConfig::smoke()).unwrap()
+        PowerSurrogate::fit(kind, &PowerSurrogateConfig::smoke(), &Telemetry::disabled()).unwrap()
     }
 
     #[test]
@@ -376,12 +354,11 @@ mod tests {
 
     #[test]
     fn traced_fit_emits_loss_curve_and_summary() {
-        use pnc_telemetry::{MemorySink, Telemetry};
+        use pnc_telemetry::MemorySink;
         use std::sync::Arc;
         let sink = Arc::new(MemorySink::new());
         let tel = Telemetry::with_sink(sink.clone());
-        let s =
-            PowerSurrogate::fit_with(AfKind::PRelu, &PowerSurrogateConfig::smoke(), &tel).unwrap();
+        let s = PowerSurrogate::fit(AfKind::PRelu, &PowerSurrogateConfig::smoke(), &tel).unwrap();
 
         let fit = sink.events_named("surrogate_fit");
         assert_eq!(fit.len(), 1);

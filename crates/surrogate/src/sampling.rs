@@ -9,7 +9,7 @@
 use crate::{atlas, SurrogateError};
 use pnc_linalg::{Matrix, SobolSequence};
 use pnc_parallel::ExecutorHandle;
-use pnc_spice::af::{input_grid, mean_power_with_states, power_curve, transfer_curve_with_states};
+use pnc_spice::af::{input_grid, sweep_design};
 use pnc_spice::{observe, AfDesign, AfKind};
 use pnc_telemetry::{Event, Level, Telemetry};
 
@@ -65,10 +65,13 @@ fn emit_progress(
     }
 }
 
-/// Shared block-synchronous characterization driver.
+/// Shared block-synchronous characterization driver: samples `n`
+/// Sobol design points for `kind` and simulates each.
 ///
-/// Sobol points are processed in [`WARM_BLOCK`]-sized blocks: donors
-/// for every point of a block are chosen *before* the block's parallel
+/// Resistances and geometry are sampled in log space: the feasible
+/// ranges span decades and power is roughly log-uniform in them.
+/// Points are processed in [`WARM_BLOCK`]-sized blocks: donors for
+/// every point of a block are chosen *before* the block's parallel
 /// fan-out, from Sobol coordinates alone, among successful points of
 /// strictly earlier blocks (coordinate-nearest in log space, ties to
 /// the smallest index). Donor states then warm-start each grid solve
@@ -78,17 +81,37 @@ fn emit_progress(
 /// sequentially in index order.
 ///
 /// `simulate` returns `(value, per-grid-point solved states)` or
-/// `None` on failure; `keep` receives each successful `(q, value)` in
-/// index order. Returns `(kept, failed)`.
+/// `None` on failure. Streams `sobol_progress` debug events (~10 per
+/// sweep) and a final `characterization` info event to `tel`, under a
+/// `sobol_characterization` span. Returns the kept design points (one
+/// per row, `kept × q_dim`) and their values, in index order.
+///
+/// # Errors
+///
+/// Returns [`SurrogateError::SimulationFailed`] if more than 10 % of
+/// the samples fail to converge, and propagates dimension errors from
+/// the Sobol generator as `NotEnoughData` (cannot happen for the
+/// built-in kinds).
 fn characterize_blocked<T: Send>(
     target: &'static str,
     kind: AfKind,
-    raw: &Matrix,
+    n: usize,
     tel: &Telemetry,
     simulate: &(impl Fn(&AfDesign, Option<&[Vec<f64>]>) -> Option<(T, Vec<Vec<f64>>)> + Sync),
-    mut keep: impl FnMut(&[f64], T),
-) -> (usize, usize) {
-    let n = raw.rows();
+) -> Result<(Matrix, Vec<T>), SurrogateError> {
+    let mut prof_scope = tel.profiler().scope("sobol_characterization");
+    prof_scope.set_str("target", target);
+    prof_scope.set_u64("samples", n as u64);
+    let bounds = kind.bounds();
+    let mut sobol =
+        SobolSequence::new(bounds.len()).map_err(|_| SurrogateError::NotEnoughData {
+            available: 0,
+            required: n,
+        })?;
+    sobol.burn(1); // drop the all-zero origin point
+    let log_bounds: Vec<(f64, f64)> = bounds.iter().map(|&(lo, hi)| (lo.ln(), hi.ln())).collect();
+    let raw = sobol.sample_scaled(n, &log_bounds);
+
     let fanout_parent = tel.profiler().current_span_id();
     let atlas_on = atlas::is_enabled();
 
@@ -107,7 +130,8 @@ fn characterize_blocked<T: Send>(
     let mut donor_ids: Vec<usize> = Vec::new();
     let mut donor_states: Vec<Vec<Vec<f64>>> = Vec::new();
 
-    let mut kept = 0usize;
+    let mut designs: Vec<f64> = Vec::with_capacity(n * bounds.len());
+    let mut values: Vec<T> = Vec::with_capacity(n);
     let mut failed = 0usize;
     for start in (0..n).step_by(WARM_BLOCK) {
         let end = (start + WARM_BLOCK).min(n);
@@ -146,8 +170,8 @@ fn characterize_blocked<T: Send>(
             }
             match res {
                 Some((value, states)) => {
-                    keep(&qs[i], value);
-                    kept += 1;
+                    designs.extend_from_slice(&qs[i]);
+                    values.push(value);
                     donor_ids.push(i);
                     donor_states.push(states);
                 }
@@ -156,7 +180,21 @@ fn characterize_blocked<T: Send>(
             emit_progress(tel, target, kind, i, n, failed);
         }
     }
-    (kept, failed)
+    let kept = values.len();
+    tel.emit(|| {
+        Event::new("characterization", Level::Info)
+            .with_str("target", target)
+            .with_str("kind", kind.name())
+            .with_u64("kept", kept as u64)
+            .with_u64("failed", failed as u64)
+    });
+    if failed * 10 > n {
+        return Err(SurrogateError::SimulationFailed {
+            failed,
+            requested: n,
+        });
+    }
+    Ok((Matrix::from_vec(kept, bounds.len(), designs), values))
 }
 
 /// Characterization dataset for one activation kind: design points and
@@ -173,7 +211,8 @@ pub struct AfPowerDataset {
 
 impl AfPowerDataset {
     /// Generates `n` Sobol design points for `kind` and simulates each
-    /// with a `grid_points`-point input sweep.
+    /// with a `grid_points`-point input sweep, streaming progress and a
+    /// `characterization` summary to `tel`.
     ///
     /// # Errors
     ///
@@ -181,68 +220,18 @@ impl AfPowerDataset {
     /// the samples fail to converge, and propagates dimension errors
     /// from the Sobol generator as `NotEnoughData` (cannot happen for
     /// the built-in kinds).
-    pub fn generate(kind: AfKind, n: usize, grid_points: usize) -> Result<Self, SurrogateError> {
-        Self::generate_traced(kind, n, grid_points, &Telemetry::disabled())
-    }
-
-    /// Like [`AfPowerDataset::generate`] but streams `sobol_progress`
-    /// debug events (~10 per sweep) and a final `characterization` info
-    /// event to a telemetry sink.
-    ///
-    /// # Errors
-    ///
-    /// Same failure policy as [`AfPowerDataset::generate`].
-    pub fn generate_traced(
+    pub fn generate(
         kind: AfKind,
         n: usize,
         grid_points: usize,
         tel: &Telemetry,
     ) -> Result<Self, SurrogateError> {
-        let mut prof_scope = tel.profiler().scope("sobol_characterization");
-        prof_scope.set_str("target", "power");
-        prof_scope.set_u64("samples", n as u64);
-        let bounds = kind.bounds();
-        let mut sobol =
-            SobolSequence::new(bounds.len()).map_err(|_| SurrogateError::NotEnoughData {
-                available: 0,
-                required: n,
-            })?;
-        sobol.burn(1); // drop the all-zero origin point
-
-        // Sample resistances and geometry in log space: the feasible
-        // ranges span decades and power is roughly log-uniform in them.
-        let log_bounds: Vec<(f64, f64)> =
-            bounds.iter().map(|&(lo, hi)| (lo.ln(), hi.ln())).collect();
-        let raw = sobol.sample_scaled(n, &log_bounds);
-
-        // Blocked fan-out with cross-point warm starting: each block's
-        // points run in parallel (pure functions of the Sobol row plus
-        // deterministically chosen donor states); compaction runs
-        // sequentially in index order, so the dataset stays
-        // bit-identical for any thread count.
-        let mut designs = Matrix::zeros(n, bounds.len());
-        let mut power: Vec<f64> = Vec::with_capacity(n);
+        let inputs = input_grid(grid_points);
         let simulate = |design: &AfDesign, donor: Option<&[Vec<f64>]>| {
-            mean_power_with_states(design, grid_points, donor, tel).ok()
+            let sweep = sweep_design(design, &inputs, donor, tel).ok()?;
+            Some((sweep.mean_power().ok()?, sweep.states()))
         };
-        let (kept, failed) = characterize_blocked("power", kind, &raw, tel, &simulate, |q, p| {
-            designs.row_slice_mut(power.len()).copy_from_slice(q);
-            power.push(p);
-        });
-        tel.emit(|| {
-            Event::new("characterization", Level::Info)
-                .with_str("target", "power")
-                .with_str("kind", kind.name())
-                .with_u64("kept", kept as u64)
-                .with_u64("failed", failed as u64)
-        });
-        if failed * 10 > n {
-            return Err(SurrogateError::SimulationFailed {
-                failed,
-                requested: n,
-            });
-        }
-        let designs = designs.submatrix(0, kept, 0, bounds.len());
+        let (designs, power) = characterize_blocked("power", kind, n, tel, &simulate)?;
         Ok(AfPowerDataset {
             kind,
             designs,
@@ -298,80 +287,30 @@ pub struct AfTransferDataset {
 
 impl AfTransferDataset {
     /// Generates `n` Sobol designs and sweeps each over a
-    /// `grid_points`-point input grid.
+    /// `grid_points`-point input grid, streaming progress and a
+    /// `characterization` summary to `tel`.
     ///
     /// # Errors
     ///
     /// Same failure policy as [`AfPowerDataset::generate`].
-    pub fn generate(kind: AfKind, n: usize, grid_points: usize) -> Result<Self, SurrogateError> {
-        Self::generate_traced(kind, n, grid_points, &Telemetry::disabled())
-    }
-
-    /// Like [`AfTransferDataset::generate`] but streams `sobol_progress`
-    /// debug events and a final `characterization` info event.
-    ///
-    /// # Errors
-    ///
-    /// Same failure policy as [`AfPowerDataset::generate`].
-    pub fn generate_traced(
+    pub fn generate(
         kind: AfKind,
         n: usize,
         grid_points: usize,
         tel: &Telemetry,
     ) -> Result<Self, SurrogateError> {
-        let mut prof_scope = tel.profiler().scope("sobol_characterization");
-        prof_scope.set_str("target", "transfer");
-        prof_scope.set_u64("samples", n as u64);
-        let bounds = kind.bounds();
-        let mut sobol =
-            SobolSequence::new(bounds.len()).map_err(|_| SurrogateError::NotEnoughData {
-                available: 0,
-                required: n,
-            })?;
-        sobol.burn(1);
-        let log_bounds: Vec<(f64, f64)> =
-            bounds.iter().map(|&(lo, hi)| (lo.ln(), hi.ln())).collect();
-        let raw = sobol.sample_scaled(n, &log_bounds);
         let inputs = input_grid(grid_points);
-
-        // Same blocked fan-out/ordered-compaction shape as the power
-        // dataset: deterministic donor schedule, sequential keep.
-        let mut designs = Matrix::zeros(n, bounds.len());
-        let mut outputs = Matrix::zeros(n, grid_points);
-        let mut kept_rows = 0usize;
         let simulate = |design: &AfDesign, donor: Option<&[Vec<f64>]>| {
-            transfer_curve_with_states(design, &inputs, donor, tel).ok()
+            let sweep = sweep_design(design, &inputs, donor, tel).ok()?;
+            Some((sweep.transfer(), sweep.states()))
         };
-        let (kept, failed) = characterize_blocked(
-            "transfer",
-            kind,
-            &raw,
-            tel,
-            &simulate,
-            |q, curve: Vec<f64>| {
-                designs.row_slice_mut(kept_rows).copy_from_slice(q);
-                outputs.row_slice_mut(kept_rows).copy_from_slice(&curve);
-                kept_rows += 1;
-            },
-        );
-        tel.emit(|| {
-            Event::new("characterization", Level::Info)
-                .with_str("target", "transfer")
-                .with_str("kind", kind.name())
-                .with_u64("kept", kept as u64)
-                .with_u64("failed", failed as u64)
-        });
-        if failed * 10 > n {
-            return Err(SurrogateError::SimulationFailed {
-                failed,
-                requested: n,
-            });
-        }
+        let (designs, curves) = characterize_blocked("transfer", kind, n, tel, &simulate)?;
+        let outputs = Matrix::from_vec(curves.len(), grid_points, curves.concat());
         Ok(AfTransferDataset {
             kind,
-            designs: designs.submatrix(0, kept, 0, bounds.len()),
+            designs,
             inputs,
-            outputs: outputs.submatrix(0, kept, 0, grid_points),
+            outputs,
         })
     }
 
@@ -386,31 +325,13 @@ impl AfTransferDataset {
     }
 }
 
-/// Power curve of a single design over the standard grid (re-export of
-/// the SPICE-level routine with dataset-friendly errors).
-///
-/// # Errors
-///
-/// Returns [`SurrogateError::SimulationFailed`] when the sweep fails.
-pub fn single_power_curve(
-    design: &AfDesign,
-    grid_points: usize,
-) -> Result<(Vec<f64>, Vec<f64>), SurrogateError> {
-    let grid = input_grid(grid_points);
-    let p = power_curve(design, &grid).map_err(|_| SurrogateError::SimulationFailed {
-        failed: 1,
-        requested: 1,
-    })?;
-    Ok((grid, p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn generates_power_dataset() {
-        let ds = AfPowerDataset::generate(AfKind::PRelu, 24, 7).unwrap();
+        let ds = AfPowerDataset::generate(AfKind::PRelu, 24, 7, &Telemetry::disabled()).unwrap();
         assert!(ds.len() >= 22, "too many failures: {}", ds.len());
         assert_eq!(ds.designs.cols(), 3);
         assert!(ds.power.iter().all(|&p| p > 0.0 && p < 1e-2));
@@ -418,7 +339,7 @@ mod tests {
 
     #[test]
     fn power_varies_across_designs() {
-        let ds = AfPowerDataset::generate(AfKind::PTanh, 16, 5).unwrap();
+        let ds = AfPowerDataset::generate(AfKind::PTanh, 16, 5, &Telemetry::disabled()).unwrap();
         let max = ds.power.iter().cloned().fold(0.0f64, f64::max);
         let min = ds.power.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max / min > 3.0, "power spread too small: {min}..{max}");
@@ -426,7 +347,7 @@ mod tests {
 
     #[test]
     fn split_is_disjoint_and_complete() {
-        let ds = AfPowerDataset::generate(AfKind::PRelu, 20, 5).unwrap();
+        let ds = AfPowerDataset::generate(AfKind::PRelu, 20, 5, &Telemetry::disabled()).unwrap();
         let (tr, va) = ds.split(5);
         assert_eq!(tr.len() + va.len(), ds.len());
         assert!(va.len() >= ds.len() / 5);
@@ -434,7 +355,8 @@ mod tests {
 
     #[test]
     fn generates_transfer_dataset() {
-        let ds = AfTransferDataset::generate(AfKind::PSigmoid, 8, 9).unwrap();
+        let ds =
+            AfTransferDataset::generate(AfKind::PSigmoid, 8, 9, &Telemetry::disabled()).unwrap();
         assert!(ds.len() >= 7);
         assert_eq!(ds.outputs.cols(), 9);
         assert_eq!(ds.inputs.len(), 9);
@@ -444,11 +366,11 @@ mod tests {
 
     #[test]
     fn traced_generation_emits_progress_and_summary() {
-        use pnc_telemetry::{MemorySink, Telemetry};
+        use pnc_telemetry::MemorySink;
         use std::sync::Arc;
         let sink = Arc::new(MemorySink::new());
         let tel = Telemetry::with_sink(sink.clone());
-        let ds = AfPowerDataset::generate_traced(AfKind::PRelu, 20, 5, &tel).unwrap();
+        let ds = AfPowerDataset::generate(AfKind::PRelu, 20, 5, &tel).unwrap();
 
         let progress = sink.events_named("sobol_progress");
         assert!(!progress.is_empty(), "expected sobol_progress events");
@@ -470,7 +392,7 @@ mod tests {
         // this test's own (target, kind) stream.
         atlas::enable();
         let n = 12;
-        let ds = AfPowerDataset::generate(AfKind::PSigmoid, n, 5).unwrap();
+        let ds = AfPowerDataset::generate(AfKind::PSigmoid, n, 5, &Telemetry::disabled()).unwrap();
         atlas::disable();
         assert!(!ds.is_empty());
         let points: Vec<_> = atlas::take()
@@ -532,13 +454,5 @@ mod tests {
         assert_eq!(got, Some((1, 1.0)));
         let got = nearest(points.iter().map(Vec::as_slice), &[0.0, 1.0]);
         assert_eq!(got.map(|(i, _)| i), Some(1));
-    }
-
-    #[test]
-    fn single_power_curve_matches_grid() {
-        let d = AfKind::PRelu.default_design();
-        let (grid, p) = single_power_curve(&d, 11).unwrap();
-        assert_eq!(grid.len(), 11);
-        assert_eq!(p.len(), 11);
     }
 }

@@ -369,7 +369,9 @@ fn coef_mlp_config() -> MlpConfig {
 }
 
 /// Fits a [`TransferModel`] for `kind` from `n` Sobol-sampled SPICE
-/// sweeps over a `grid_points` input grid.
+/// sweeps over a `grid_points` input grid, streaming `sobol_progress` /
+/// `characterization` events from the sweep and the coefficient MLP's
+/// loss curve to `tel`.
 ///
 /// # Errors
 ///
@@ -379,32 +381,22 @@ pub fn fit_transfer(
     kind: AfKind,
     n: usize,
     grid_points: usize,
-) -> Result<TransferModel, SurrogateError> {
-    fit_transfer_with(kind, n, grid_points, &Telemetry::disabled())
-}
-
-/// Like [`fit_transfer`] but streams `sobol_progress` /
-/// `characterization` events from the SPICE sweep to a telemetry sink.
-///
-/// # Errors
-///
-/// Same failure modes as [`fit_transfer`].
-pub fn fit_transfer_with(
-    kind: AfKind,
-    n: usize,
-    grid_points: usize,
     tel: &Telemetry,
 ) -> Result<TransferModel, SurrogateError> {
-    let ds = AfTransferDataset::generate_traced(kind, n, grid_points, tel)?;
-    fit_transfer_from_dataset(&ds)
+    let ds = AfTransferDataset::generate(kind, n, grid_points, tel)?;
+    fit_transfer_from_dataset(&ds, tel)
 }
 
-/// Fits a [`TransferModel`] from an existing transfer dataset.
+/// Fits a [`TransferModel`] from an existing transfer dataset; the
+/// coefficient MLP's fit reports to `tel` as in [`fit_transfer`].
 ///
 /// # Errors
 ///
 /// Same conditions as [`fit_transfer`].
-pub fn fit_transfer_from_dataset(ds: &AfTransferDataset) -> Result<TransferModel, SurrogateError> {
+pub fn fit_transfer_from_dataset(
+    ds: &AfTransferDataset,
+    tel: &Telemetry,
+) -> Result<TransferModel, SurrogateError> {
     let m = ds.len();
     if m < 8 {
         return Err(SurrogateError::NotEnoughData {
@@ -437,7 +429,7 @@ pub fn fit_transfer_from_dataset(ds: &AfTransferDataset) -> Result<TransferModel
     let cfg = coef_mlp_config();
     let mut rng = lrng::seeded(cfg.seed);
     let mut mlp = Mlp::new(x.cols(), &cfg.hidden, 4, &mut rng);
-    mlp.train(&x, &y, &cfg);
+    mlp.train(&x, &y, &cfg, tel);
 
     let mut cm = [0.0; 4];
     let mut cs = [0.0; 4];
@@ -527,7 +519,7 @@ mod tests {
 
     #[test]
     fn transfer_model_fits_ptanh_within_tolerance() {
-        let model = fit_transfer(AfKind::PTanh, 48, 13).unwrap();
+        let model = fit_transfer(AfKind::PTanh, 48, 13, &Telemetry::disabled()).unwrap();
         assert!(
             model.fit_rmse() < 0.12,
             "p-tanh transfer RMSE too high: {}",
@@ -537,7 +529,7 @@ mod tests {
 
     #[test]
     fn transfer_model_generalizes_to_unseen_design() {
-        let model = fit_transfer(AfKind::PTanh, 64, 13).unwrap();
+        let model = fit_transfer(AfKind::PTanh, 64, 13, &Telemetry::disabled()).unwrap();
         let d = AfKind::PTanh.default_design();
         let inputs: Vec<f64> = (0..21).map(|i| -1.0 + i as f64 / 10.0).collect();
         let simulated = transfer_curve(&d, &inputs).unwrap();
@@ -554,7 +546,7 @@ mod tests {
 
     #[test]
     fn tape_eval_matches_plain() {
-        let model = fit_transfer(AfKind::PTanh, 12, 9).unwrap();
+        let model = fit_transfer(AfKind::PTanh, 12, 9, &Telemetry::disabled()).unwrap();
         let d = AfKind::PTanh.default_design();
         let v = Matrix::from_rows(&[&[-0.5, 0.0], &[0.3, 0.8]]);
         let plain = model.eval(&v, d.q());
@@ -571,7 +563,7 @@ mod tests {
 
     #[test]
     fn tape_eval_gradient_wrt_q_and_v() {
-        let model = fit_transfer(AfKind::PTanh, 12, 9).unwrap();
+        let model = fit_transfer(AfKind::PTanh, 12, 9, &Telemetry::disabled()).unwrap();
         let d = AfKind::PTanh.default_design();
         let q0 = Matrix::from_vec(1, d.q().len(), d.q().to_vec());
         let v = Matrix::from_rows(&[&[-0.4, 0.2, 0.7]]);

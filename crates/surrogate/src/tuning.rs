@@ -11,6 +11,7 @@ use crate::sampling::AfPowerDataset;
 use crate::SurrogateError;
 use pnc_linalg::stats::Standardizer;
 use pnc_linalg::{rng as lrng, Matrix};
+use pnc_telemetry::Telemetry;
 
 /// One evaluated candidate in a tuning run.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +83,7 @@ pub fn tune_mlp(
     for cfg in candidates {
         let mut rng = lrng::seeded(cfg.seed);
         let mut mlp = Mlp::new(xtr.cols(), &cfg.hidden, 1, &mut rng);
-        mlp.train(&xtr, &ytr, cfg);
+        mlp.train(&xtr, &ytr, cfg, &Telemetry::disabled());
         trials.push(TuningTrial {
             config: cfg.clone(),
             validation_mse: mlp.mse(&xva, &yva),
@@ -120,7 +121,7 @@ mod tests {
 
     #[test]
     fn tuning_picks_finite_best() {
-        let ds = AfPowerDataset::generate(AfKind::PRelu, 48, 5).unwrap();
+        let ds = AfPowerDataset::generate(AfKind::PRelu, 48, 5, &Telemetry::disabled()).unwrap();
         let candidates = vec![
             MlpConfig {
                 hidden: vec![8],
@@ -146,7 +147,7 @@ mod tests {
 
     #[test]
     fn empty_candidates_is_error() {
-        let ds = AfPowerDataset::generate(AfKind::PRelu, 20, 5).unwrap();
+        let ds = AfPowerDataset::generate(AfKind::PRelu, 20, 5, &Telemetry::disabled()).unwrap();
         assert!(tune_mlp(&ds, &[]).is_err());
     }
 

@@ -17,7 +17,7 @@
 //!   through the stack. A disabled handle is a `None` — emitting
 //!   through it costs one branch and never constructs the event, so
 //!   instrumented hot paths run at full speed when nobody listens.
-//! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`], [`Span`]):
+//! * **Metrics** ([`Counter`], [`Gauge`], [`StreamHistogram`], [`Span`]):
 //!   aggregation primitives for quantities too hot to emit one event
 //!   each — Newton iterations, epoch durations — with percentile
 //!   summaries (p50/p95/p99) that can be flushed as a single event.
@@ -70,7 +70,7 @@ pub mod trend;
 
 pub use alloc::{AllocSnapshot, CountingAllocator};
 pub use event::{Event, Level, Value};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, PercentileError};
+pub use metrics::{Counter, Gauge, HistogramSummary, PercentileError};
 pub use profile::{PhaseStat, ProfileReport, Profiler, ScopedSpan, SpanRecord};
 pub use registry::{
     diff_runs, ExitStatus, RunDiff, RunHandle, RunManifest, RunRecord, RunRegistry, RunSummary,

@@ -1,10 +1,10 @@
 //! Aggregation primitives: thread-safe counters and gauges for hot
-//! paths, plus a histogram with nearest-rank percentiles for latency /
-//! iteration-count distributions.
+//! paths, plus the summary and error types of the streamed histogram
+//! ([`crate::StreamHistogram`]) that holds latency / iteration-count
+//! distributions.
 
 use crate::event::{Event, Level};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -97,7 +97,7 @@ impl std::fmt::Display for PercentileError {
 
 impl std::error::Error for PercentileError {}
 
-/// Summary statistics of a [`Histogram`].
+/// Summary statistics of a [`crate::StreamHistogram`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     /// Number of recorded samples.
@@ -131,193 +131,6 @@ impl HistogramSummary {
     }
 }
 
-/// A sample store with nearest-rank percentiles. Unbounded by default
-/// (exact percentiles for bounded-cardinality series — epochs, solves
-/// within a run); [`Histogram::with_sample_cap`] bounds memory for
-/// unbounded streams by switching to uniform reservoir sampling
-/// (Vitter's Algorithm R) once the cap is reached. Count, min, max and
-/// mean stay exact in both regimes; above the cap the percentiles are
-/// estimates over a uniform subsample.
-#[derive(Debug)]
-pub struct Histogram {
-    inner: Mutex<HistInner>,
-}
-
-#[derive(Debug)]
-struct HistInner {
-    samples: Vec<f64>,
-    cap: usize,
-    seen: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    rng: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty, unbounded histogram (exact percentiles).
-    pub fn new() -> Self {
-        Self::with_cap_inner(usize::MAX)
-    }
-
-    /// Creates an empty histogram that stores at most `cap` samples
-    /// (minimum 1). Percentiles are exact until `cap` samples have
-    /// been recorded, then become reservoir estimates.
-    pub fn with_sample_cap(cap: usize) -> Self {
-        Self::with_cap_inner(cap.max(1))
-    }
-
-    fn with_cap_inner(cap: usize) -> Self {
-        Histogram {
-            inner: Mutex::new(HistInner {
-                samples: Vec::new(),
-                cap,
-                seen: 0,
-                sum: 0.0,
-                min: 0.0,
-                max: 0.0,
-                rng: 0x9E37_79B9_7F4A_7C15,
-            }),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HistInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Records one sample; non-finite values are dropped.
-    pub fn record(&self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.seen += 1;
-        inner.sum += v;
-        if inner.seen == 1 {
-            inner.min = v;
-            inner.max = v;
-        } else {
-            inner.min = inner.min.min(v);
-            inner.max = inner.max.max(v);
-        }
-        if inner.samples.len() < inner.cap {
-            inner.samples.push(v);
-        } else {
-            // Algorithm R: replace a random slot with probability
-            // cap/seen, keeping the reservoir a uniform sample.
-            let j = next_rand(&mut inner.rng) % inner.seen;
-            if (j as usize) < inner.cap {
-                inner.samples[j as usize] = v;
-            }
-        }
-    }
-
-    /// Number of recorded samples (including any no longer retained).
-    pub fn count(&self) -> u64 {
-        self.lock().seen
-    }
-
-    /// Drops all samples and aggregates, keeping the cap — the
-    /// histogram is ready to accumulate a fresh window.
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.samples.clear();
-        inner.seen = 0;
-        inner.sum = 0.0;
-        inner.min = 0.0;
-        inner.max = 0.0;
-    }
-
-    /// Number of samples currently retained (≤ the cap).
-    pub fn retained(&self) -> u64 {
-        self.lock().samples.len() as u64
-    }
-
-    /// Nearest-rank percentile: the smallest retained sample such that
-    /// at least `q` of the distribution is ≤ it (`q` in `[0, 1]`).
-    /// Exact below the sample cap, a reservoir estimate above it.
-    ///
-    /// # Errors
-    ///
-    /// [`PercentileError::Empty`] when no samples have been recorded
-    /// and [`PercentileError::InvalidQuantile`] when `q` is outside
-    /// `[0, 1]` or non-finite.
-    pub fn percentile(&self, q: f64) -> Result<f64, PercentileError> {
-        if !(0.0..=1.0).contains(&q) {
-            return Err(PercentileError::InvalidQuantile(q));
-        }
-        let inner = self.lock();
-        if inner.samples.is_empty() {
-            return Err(PercentileError::Empty);
-        }
-        Ok(percentile_of(&inner.samples, q))
-    }
-
-    /// Computes the full summary in one pass over a sorted copy of the
-    /// retained samples. Count, min, max and mean are exact even when
-    /// the reservoir has dropped samples.
-    pub fn summary(&self) -> HistogramSummary {
-        let inner = self.lock();
-        if inner.seen == 0 {
-            return HistogramSummary {
-                count: 0,
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-                p50: 0.0,
-                p95: 0.0,
-                p99: 0.0,
-            };
-        }
-        let mut sorted = inner.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        HistogramSummary {
-            count: inner.seen,
-            min: inner.min,
-            max: inner.max,
-            mean: inner.sum / inner.seen as f64,
-            p50: sorted_percentile(&sorted, 0.50),
-            p95: sorted_percentile(&sorted, 0.95),
-            p99: sorted_percentile(&sorted, 0.99),
-        }
-    }
-}
-
-/// SplitMix64 step — a tiny deterministic generator so the reservoir
-/// needs no external RNG dependency.
-fn next_rand(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn percentile_of(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted_percentile(&sorted, q)
-}
-
-/// Nearest-rank on an already sorted slice: rank = ⌈q·n⌉ (1-based),
-/// clamped to [1, n].
-fn sorted_percentile(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
-    let rank = (q * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,141 +151,8 @@ mod tests {
     }
 
     #[test]
-    fn nearest_rank_percentiles_match_definition() {
-        // 1..=100: nearest-rank pXX of 100 samples is exactly XX.
-        let h = Histogram::new();
-        for i in 1..=100 {
-            h.record(i as f64);
-        }
-        assert_eq!(h.percentile(0.50), Ok(50.0));
-        assert_eq!(h.percentile(0.95), Ok(95.0));
-        assert_eq!(h.percentile(0.99), Ok(99.0));
-        assert_eq!(h.percentile(0.0), Ok(1.0)); // clamped to first rank
-        assert_eq!(h.percentile(1.0), Ok(100.0));
-
-        let s = h.summary();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.mean - 50.5).abs() < 1e-12);
-        assert_eq!((s.p50, s.p95, s.p99), (50.0, 95.0, 99.0));
-    }
-
-    #[test]
-    fn small_sample_percentiles() {
-        let h = Histogram::new();
-        for v in [10.0, 20.0, 30.0] {
-            h.record(v);
-        }
-        // ⌈0.5·3⌉ = 2 → 20; ⌈0.95·3⌉ = 3 → 30.
-        assert_eq!(h.percentile(0.50), Ok(20.0));
-        assert_eq!(h.percentile(0.95), Ok(30.0));
-        // A single sample is every percentile.
-        let one = Histogram::new();
-        one.record(7.0);
-        assert_eq!(one.percentile(0.01), Ok(7.0));
-        assert_eq!(one.percentile(0.99), Ok(7.0));
-    }
-
-    #[test]
-    fn empty_histogram_summary_is_all_zeros_and_percentile_errors() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        // An empty distribution has no percentiles — typed error, not
-        // a silent 0.0.
-        assert_eq!(h.percentile(0.5), Err(PercentileError::Empty));
-        let s = h.summary();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn out_of_range_quantiles_are_rejected() {
-        let h = Histogram::new();
-        h.record(1.0);
-        assert_eq!(
-            h.percentile(1.01),
-            Err(PercentileError::InvalidQuantile(1.01))
-        );
-        assert_eq!(
-            h.percentile(-0.5),
-            Err(PercentileError::InvalidQuantile(-0.5))
-        );
-        assert!(h.percentile(f64::NAN).is_err());
-        assert!(h
-            .percentile(2.0)
-            .unwrap_err()
-            .to_string()
-            .contains("outside [0, 1]"));
-    }
-
-    #[test]
-    fn non_finite_samples_are_dropped() {
-        let h = Histogram::new();
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        h.record(1.0);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.percentile(0.5), Ok(1.0));
-    }
-
-    #[test]
-    fn capped_histogram_is_exact_below_cap() {
-        let h = Histogram::with_sample_cap(64);
-        for i in 1..=50 {
-            h.record(i as f64);
-        }
-        assert_eq!(h.count(), 50);
-        assert_eq!(h.retained(), 50);
-        // Same nearest-rank answers as the unbounded histogram.
-        assert_eq!(h.percentile(0.50), Ok(25.0));
-        assert_eq!(h.percentile(0.95), Ok(48.0));
-        let s = h.summary();
-        assert_eq!((s.min, s.max), (1.0, 50.0));
-        assert!((s.mean - 25.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn capped_histogram_bounds_memory_above_cap() {
-        let h = Histogram::with_sample_cap(64);
-        let n = 10_000u64;
-        for i in 1..=n {
-            h.record(i as f64);
-        }
-        // Exact aggregates survive the reservoir.
-        assert_eq!(h.count(), n);
-        assert_eq!(h.retained(), 64);
-        let s = h.summary();
-        assert_eq!(s.count, n);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, n as f64);
-        assert!((s.mean - 5000.5).abs() < 1e-9, "mean {}", s.mean);
-        // The reservoir is a uniform subsample: the median estimate of
-        // a uniform 1..=10000 stream lands well inside the bulk. With
-        // the fixed internal seed this is deterministic.
-        assert!(
-            (2000.0..=8000.0).contains(&s.p50),
-            "reservoir p50 {} implausible for uniform stream",
-            s.p50
-        );
-        assert!(s.p95 >= s.p50 && s.p99 >= s.p95);
-    }
-
-    #[test]
-    fn cap_of_zero_is_clamped_to_one() {
-        let h = Histogram::with_sample_cap(0);
-        h.record(3.0);
-        h.record(5.0);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.retained(), 1);
-        let s = h.summary();
-        assert_eq!((s.min, s.max), (3.0, 5.0));
-        assert_eq!(s.mean, 4.0);
-    }
-
-    #[test]
     fn summary_event_rendering() {
-        let h = Histogram::new();
+        let h = crate::StreamHistogram::with_ticks_per_unit(1.0);
         h.record(2.0);
         h.record(4.0);
         let e = h.summary().to_event("epoch_ms", Level::Info);

@@ -1,11 +1,7 @@
 //! Streaming metrics: lock-free log-bucketed mergeable histograms and
 //! a process-wide metrics registry with Prometheus-text exposition.
 //!
-//! The reservoir [`crate::Histogram`] trades tail accuracy for memory
-//! on long streams: once the cap is hit, p95/p99 become estimates over
-//! a uniform subsample and two runs recording the same values in a
-//! different order produce different summaries. [`StreamHistogram`]
-//! removes both problems for the hot paths (per-solve timing, tape
+//! [`StreamHistogram`] serves the hot paths (per-solve timing, tape
 //! forward/backward, epoch durations):
 //!
 //! * **Bounded memory**: values are quantized to integer ticks and

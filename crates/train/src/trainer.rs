@@ -541,6 +541,7 @@ pub(crate) mod test_support {
     use pnc_linalg::rng as lrng;
     use pnc_spice::AfKind;
     use pnc_surrogate::NegationModel;
+    use pnc_telemetry::Telemetry;
     use std::sync::OnceLock;
 
     /// Process-wide smoke surrogates (fitting them once keeps the test
@@ -548,7 +549,12 @@ pub(crate) mod test_support {
     pub fn smoke_parts() -> &'static (LearnableActivation, NegationModel) {
         static CELL: OnceLock<(LearnableActivation, NegationModel)> = OnceLock::new();
         CELL.get_or_init(|| {
-            let act = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke()).unwrap();
+            let act = LearnableActivation::fit(
+                AfKind::PTanh,
+                &SurrogateFidelity::smoke(),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             let neg = pnc_core::activation::fit_negation_model(9).unwrap();
             (act, neg)
         })

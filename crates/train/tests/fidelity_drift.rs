@@ -22,7 +22,12 @@ const GATE: f64 = 0.5;
 fn smoke_parts() -> &'static (LearnableActivation, NegationModel) {
     static CELL: OnceLock<(LearnableActivation, NegationModel)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let act = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke()).unwrap();
+        let act = LearnableActivation::fit(
+            AfKind::PTanh,
+            &SurrogateFidelity::smoke(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let neg = fit_negation_model(9).unwrap();
         (act, neg)
     })

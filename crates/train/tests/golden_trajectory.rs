@@ -7,6 +7,7 @@
 use pnc_core::activation::{LearnableActivation, SurrogateFidelity};
 use pnc_core::{NetworkConfig, PrintedNetwork};
 use pnc_datasets::{Dataset, DatasetId};
+use pnc_telemetry::Telemetry;
 use pnc_train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use pnc_train::finetune::finetune;
 use pnc_train::observer::RecordingObserver;
@@ -32,8 +33,12 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 #[test]
 fn smoke_auglag_and_finetune_reproduce_the_golden_trajectory() {
-    let act = LearnableActivation::fit(pnc_spice::AfKind::PTanh, &SurrogateFidelity::smoke())
-        .expect("smoke surrogate");
+    let act = LearnableActivation::fit(
+        pnc_spice::AfKind::PTanh,
+        &SurrogateFidelity::smoke(),
+        &Telemetry::disabled(),
+    )
+    .expect("smoke surrogate");
     let neg = pnc_core::activation::fit_negation_model(9).expect("negation surrogate");
     let mut rng = pnc_linalg::rng::seeded(41);
     let mut net = PrintedNetwork::new(4, 3, NetworkConfig::default(), act, neg, &mut rng)

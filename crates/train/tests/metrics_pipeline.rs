@@ -15,8 +15,12 @@ use pnc_train::trainer::{fit_instrumented, DataRefs, EpochMeasure, FitContext, T
 use std::sync::Arc;
 
 fn fresh_net() -> PrintedNetwork {
-    let act = LearnableActivation::fit(pnc_spice::AfKind::PTanh, &SurrogateFidelity::smoke())
-        .expect("smoke surrogate");
+    let act = LearnableActivation::fit(
+        pnc_spice::AfKind::PTanh,
+        &SurrogateFidelity::smoke(),
+        &Telemetry::disabled(),
+    )
+    .expect("smoke surrogate");
     let neg = pnc_core::activation::fit_negation_model(9).expect("negation surrogate");
     let mut rng = pnc_linalg::rng::seeded(29);
     PrintedNetwork::new(4, 3, NetworkConfig::default(), act, neg, &mut rng)

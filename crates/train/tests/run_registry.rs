@@ -46,8 +46,12 @@ fn aborted_nan_run_leaves_a_complete_run_directory() {
     let ds = Dataset::generate(DatasetId::Iris, 13);
     let split = ds.split(13);
     let data = DataRefs::from_split(&split);
-    let act = LearnableActivation::fit(pnc_spice::AfKind::PTanh, &SurrogateFidelity::smoke())
-        .expect("smoke surrogate");
+    let act = LearnableActivation::fit(
+        pnc_spice::AfKind::PTanh,
+        &SurrogateFidelity::smoke(),
+        &Telemetry::disabled(),
+    )
+    .expect("smoke surrogate");
     let neg = pnc_core::activation::fit_negation_model(9).expect("negation surrogate");
     let mut rng = pnc_linalg::rng::seeded(13);
     let mut net = PrintedNetwork::new(4, 3, NetworkConfig::default(), act, neg, &mut rng)

@@ -15,6 +15,7 @@
 use pnc::spice::af::{input_grid, mean_power, transfer_curve};
 use pnc::spice::{AfDesign, AfKind};
 use pnc::surrogate::{fit_transfer, PowerSurrogate, PowerSurrogateConfig};
+use pnc::telemetry::Telemetry;
 
 /// Interpolates geometrically between design-space corners.
 fn corner_path(kind: AfKind, t: f64) -> AfDesign {
@@ -63,8 +64,10 @@ fn main() {
 
         // Surrogate validation at unseen points.
         let power_model =
-            PowerSurrogate::fit(kind, &PowerSurrogateConfig::smoke()).expect("power surrogate");
-        let transfer_model = fit_transfer(kind, 24, 9).expect("transfer surrogate");
+            PowerSurrogate::fit(kind, &PowerSurrogateConfig::smoke(), &Telemetry::disabled())
+                .expect("power surrogate");
+        let transfer_model =
+            fit_transfer(kind, 24, 9, &Telemetry::disabled()).expect("transfer surrogate");
         let mut worst_ratio: f64 = 1.0;
         for &t in &[0.21, 0.47, 0.73] {
             let d = corner_path(kind, t);

@@ -19,6 +19,7 @@ use pnc::circuit::activation::{fit_negation_model, LearnableActivation, Surrogat
 use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
+use pnc::telemetry::Telemetry;
 use pnc::train::multi::{train_multi_constraint, ConstraintKind, MultiConstraintConfig};
 use pnc::train::observer::RecordingObserver;
 use pnc::train::trainer::{fit_instrumented, DataRefs, EpochMeasure, FitContext, TrainConfig};
@@ -45,8 +46,12 @@ fn main() {
     );
 
     // p-ReLU: the device-count-friendly activation (2 components each).
-    let activation = LearnableActivation::fit(AfKind::PRelu, &SurrogateFidelity::smoke())
-        .expect("surrogate fitting");
+    let activation = LearnableActivation::fit(
+        AfKind::PRelu,
+        &SurrogateFidelity::smoke(),
+        &Telemetry::disabled(),
+    )
+    .expect("surrogate fitting");
     let negation = fit_negation_model(11).expect("negation fitting");
 
     let dataset = Dataset::generate(DatasetId::Seeds, 3);

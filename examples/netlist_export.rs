@@ -12,6 +12,7 @@ use pnc::circuit::export::export_network;
 use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
+use pnc::telemetry::Telemetry;
 use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
 use pnc::train::finetune::finetune;
 use pnc::train::trainer::{DataRefs, TrainConfig};
@@ -19,8 +20,12 @@ use pnc::train::trainer::{DataRefs, TrainConfig};
 fn main() {
     println!("train → prune → export → transistor-level cross-validation\n");
 
-    let activation = LearnableActivation::fit(AfKind::PRelu, &SurrogateFidelity::smoke())
-        .expect("surrogate fitting");
+    let activation = LearnableActivation::fit(
+        AfKind::PRelu,
+        &SurrogateFidelity::smoke(),
+        &Telemetry::disabled(),
+    )
+    .expect("surrogate fitting");
     let negation = fit_negation_model(11).expect("negation fitting");
     let dataset = Dataset::generate(DatasetId::Iris, 8);
     let split = dataset.split(2);

@@ -9,6 +9,7 @@ use pnc::circuit::activation::{fit_negation_model, LearnableActivation, Surrogat
 use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
+use pnc::telemetry::Telemetry;
 use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
 use pnc::train::finetune::finetune;
 use pnc::train::trainer::{fit_cross_entropy, DataRefs, TrainConfig};
@@ -18,8 +19,12 @@ fn main() {
     //    activation circuit with the SPICE-level solver and fit its
     //    transfer + power surrogates (the paper's Sec. III-A pipeline).
     println!("[1/5] fitting p-tanh surrogates from SPICE simulations …");
-    let activation = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke())
-        .expect("surrogate fitting");
+    let activation = LearnableActivation::fit(
+        AfKind::PTanh,
+        &SurrogateFidelity::smoke(),
+        &Telemetry::disabled(),
+    )
+    .expect("surrogate fitting");
     let negation = fit_negation_model(11).expect("negation fitting");
     println!(
         "      transfer RMSE {:.3} V, power surrogate R² {:.3}",

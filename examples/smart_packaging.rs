@@ -17,6 +17,7 @@ use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::linalg::rng::{next_normal, seeded};
 use pnc::linalg::Matrix;
 use pnc::spice::AfKind;
+use pnc::telemetry::Telemetry;
 use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
 use pnc::train::trainer::{DataRefs, TrainConfig};
 use rand::Rng;
@@ -57,8 +58,12 @@ fn main() {
 
     // p-Clipped_ReLU: the paper's best activation at low power budgets.
     println!("fitting p-Clipped_ReLU surrogates …");
-    let activation = LearnableActivation::fit(AfKind::PClippedRelu, &SurrogateFidelity::smoke())
-        .expect("surrogate fitting");
+    let activation = LearnableActivation::fit(
+        AfKind::PClippedRelu,
+        &SurrogateFidelity::smoke(),
+        &Telemetry::disabled(),
+    )
+    .expect("surrogate fitting");
     let negation = fit_negation_model(11).expect("negation fitting");
 
     let (x_train, y_train) = carton_batch(240, 1);

@@ -17,6 +17,7 @@ use pnc::circuit::activation::{fit_negation_model, LearnableActivation, Surrogat
 use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
+use pnc::telemetry::Telemetry;
 use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
 use pnc::train::finetune::finetune;
 use pnc::train::trainer::{DataRefs, TrainConfig};
@@ -30,7 +31,8 @@ fn train_with(
 ) -> (f64, f64, usize) {
     println!("  fitting {} surrogates …", kind.name());
     let activation =
-        LearnableActivation::fit(kind, &SurrogateFidelity::smoke()).expect("surrogate fitting");
+        LearnableActivation::fit(kind, &SurrogateFidelity::smoke(), &Telemetry::disabled())
+            .expect("surrogate fitting");
     let data = DataRefs::from_split(split);
     let mut rng = pnc::linalg::rng::seeded(3);
     let mut net = PrintedNetwork::new(

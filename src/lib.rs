@@ -13,6 +13,9 @@
 //! * [`datasets`] — the 13 benchmark dataset generators.
 //! * [`train`] — augmented Lagrangian constrained training, the
 //!   penalty-based baseline, pruning/fine-tuning, and Pareto tooling.
+//! * [`telemetry`] — structured events, spans and metrics; every
+//!   characterization and training step takes a `&Telemetry` handle
+//!   (`Telemetry::disabled()` when nothing listens).
 //!
 //! See `README.md` for a walkthrough and `DESIGN.md` for the
 //! paper-to-module map.
@@ -25,4 +28,5 @@ pub use pnc_datasets as datasets;
 pub use pnc_linalg as linalg;
 pub use pnc_spice as spice;
 pub use pnc_surrogate as surrogate;
+pub use pnc_telemetry as telemetry;
 pub use pnc_train as train;

@@ -7,6 +7,7 @@ use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
 use pnc::surrogate::NegationModel;
+use pnc::telemetry::Telemetry;
 use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
 use pnc::train::finetune::finetune;
 use pnc::train::trainer::{fit_cross_entropy, DataRefs, TrainConfig};
@@ -16,8 +17,12 @@ use std::sync::OnceLock;
 fn parts() -> &'static (LearnableActivation, NegationModel) {
     static CELL: OnceLock<(LearnableActivation, NegationModel)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let act = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke())
-            .expect("surrogate fit");
+        let act = LearnableActivation::fit(
+            AfKind::PTanh,
+            &SurrogateFidelity::smoke(),
+            &Telemetry::disabled(),
+        )
+        .expect("surrogate fit");
         let neg = fit_negation_model(9).expect("negation fit");
         (act, neg)
     })
@@ -126,8 +131,9 @@ fn all_four_activation_kinds_train_feasibly() {
     let neg = parts().1;
 
     for kind in AfKind::ALL {
-        let act = LearnableActivation::fit(kind, &SurrogateFidelity::smoke())
-            .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+        let act =
+            LearnableActivation::fit(kind, &SurrogateFidelity::smoke(), &Telemetry::disabled())
+                .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         let mut rng = pnc::linalg::rng::seeded(9);
         let mut net =
             PrintedNetwork::new(4, 3, NetworkConfig::default(), act, neg, &mut rng).unwrap();

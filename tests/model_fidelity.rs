@@ -9,13 +9,18 @@ use pnc::linalg::{rng as lrng, Matrix};
 use pnc::spice::af::{input_grid, mean_power, transfer_curve};
 use pnc::spice::{AfDesign, AfKind};
 use pnc::surrogate::NegationModel;
+use pnc::telemetry::Telemetry;
 use std::sync::OnceLock;
 
 fn parts() -> &'static (LearnableActivation, NegationModel) {
     static CELL: OnceLock<(LearnableActivation, NegationModel)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let act = LearnableActivation::fit(AfKind::PTanh, &SurrogateFidelity::smoke())
-            .expect("surrogate fit");
+        let act = LearnableActivation::fit(
+            AfKind::PTanh,
+            &SurrogateFidelity::smoke(),
+            &Telemetry::disabled(),
+        )
+        .expect("surrogate fit");
         let neg = fit_negation_model(11).expect("negation fit");
         (act, neg)
     })
