@@ -10,9 +10,10 @@ use pnc_datasets::{Dataset, DatasetId};
 use pnc_linalg::rng as lrng;
 use pnc_spice::AfKind;
 use pnc_telemetry::Telemetry;
-use pnc_train::auglag::{train_auglag, AugLagConfig};
-use pnc_train::penalty::{train_penalty, PenaltyConfig};
-use pnc_train::trainer::{fit, DataRefs, TrainConfig};
+use pnc_train::auglag::{train_auglag_observed, AugLagConfig};
+use pnc_train::observer::NoopObserver;
+use pnc_train::penalty::{train_penalty_observed, PenaltyConfig};
+use pnc_train::trainer::{fit_cross_entropy, DataRefs, TrainConfig};
 
 struct Fixture {
     net: PrintedNetwork,
@@ -50,9 +51,7 @@ fn bench_epochs(c: &mut Criterion) {
         bench.iter(|| {
             let mut net = fx.net.clone();
             let data = DataRefs::from_split(&fx.split);
-            let r = fit(&mut net, &data, &one_epoch_cfg(), &|_t, _b, ce| ce, &|_| {
-                true
-            });
+            let r = fit_cross_entropy(&mut net, &data, &one_epoch_cfg());
             std::hint::black_box(r.expect("shapes match").final_objective)
         });
     });
@@ -61,7 +60,7 @@ fn bench_epochs(c: &mut Criterion) {
         bench.iter(|| {
             let mut net = fx.net.clone();
             let data = DataRefs::from_split(&fx.split);
-            let r = train_penalty(
+            let r = train_penalty_observed(
                 &mut net,
                 &data,
                 &PenaltyConfig {
@@ -70,6 +69,7 @@ fn bench_epochs(c: &mut Criterion) {
                     inner: one_epoch_cfg().with_seed(7),
                     faithful: false,
                 },
+                &mut NoopObserver,
             );
             std::hint::black_box(r.expect("shapes match").power_watts)
         });
@@ -79,7 +79,7 @@ fn bench_epochs(c: &mut Criterion) {
         bench.iter(|| {
             let mut net = fx.net.clone();
             let data = DataRefs::from_split(&fx.split);
-            let r = train_auglag(
+            let r = train_auglag_observed(
                 &mut net,
                 &data,
                 &AugLagConfig {
@@ -90,6 +90,7 @@ fn bench_epochs(c: &mut Criterion) {
                     warm_start: true,
                     rescue: true,
                 },
+                &mut NoopObserver,
             );
             std::hint::black_box(r.expect("shapes match").power_watts)
         });
@@ -115,7 +116,7 @@ fn bench_warmstart_ablation(c: &mut Criterion) {
         group.bench_function(if warm { "warm_start" } else { "cold_start" }, |bench| {
             bench.iter(|| {
                 let mut net = fx.net.clone();
-                let r = train_auglag(
+                let r = train_auglag_observed(
                     &mut net,
                     &data,
                     &AugLagConfig {
@@ -126,6 +127,7 @@ fn bench_warmstart_ablation(c: &mut Criterion) {
                         warm_start: warm,
                         rescue: true,
                     },
+                    &mut NoopObserver,
                 );
                 std::hint::black_box(r.expect("shapes match").val_accuracy)
             });

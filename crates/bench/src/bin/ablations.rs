@@ -22,10 +22,11 @@ use pnc_core::PrintedNetwork;
 use pnc_datasets::DatasetId;
 use pnc_linalg::rng as lrng;
 use pnc_spice::AfKind;
-use pnc_train::auglag::{hard_power, train_auglag, AugLagConfig};
+use pnc_train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use pnc_train::experiment::{unconstrained_reference, PreparedData};
+use pnc_train::observer::NoopObserver;
 use pnc_train::pareto::{best_under_budget, pareto_front, ParetoPoint};
-use pnc_train::penalty::{train_penalty, PenaltyConfig};
+use pnc_train::penalty::{train_penalty_observed, PenaltyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     pnc_bench::harness::configure_threads_from_args();
@@ -75,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 warm_start: warm,
                 rescue: true,
             };
-            let report = train_auglag(&mut net, &refs, &cfg)?;
+            let report = train_auglag_observed(&mut net, &refs, &cfg, &mut NoopObserver)?;
             let test_acc = net.accuracy(&data.x_test, &data.y_test)?;
             let epochs: usize = report.outer.iter().map(|o| o.fit.epochs).sum();
             t1.row(vec![
@@ -139,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 warm_start: true,
                 rescue: true,
             };
-            train_auglag(&mut net, &refs, &cfg)?;
+            train_auglag_observed(&mut net, &refs, &cfg, &mut NoopObserver)?;
             let test_acc = net.accuracy(&data.x_test, &data.y_test)?;
             let hard = hard_power(&net, refs.x_train)?;
             // Soft (differentiable) power at the solution.
@@ -202,7 +203,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             warm_start: true,
             rescue: true,
         };
-        let al = train_auglag(&mut net, &refs, &cfg)?;
+        let al = train_auglag_observed(&mut net, &refs, &cfg, &mut NoopObserver)?;
         let al_acc = net.accuracy(&data.x_test, &data.y_test)?;
         t3.row(vec![
             id.name().into(),
@@ -222,7 +223,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &bundle.negation,
                 1 + k as u64,
             );
-            let r = train_penalty(
+            let r = train_penalty_observed(
                 &mut pnet,
                 &refs,
                 &PenaltyConfig {
@@ -231,6 +232,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     inner: fidelity.train.with_seed(1),
                     faithful: false,
                 },
+                &mut NoopObserver,
             )?;
             let acc = pnet.accuracy(&data.x_test, &data.y_test)?;
             points.push(ParetoPoint {

@@ -20,10 +20,11 @@ use pnc_bench::report::{write_csv, TableWriter};
 use pnc_bench::Scale;
 use pnc_datasets::DatasetId;
 use pnc_spice::AfKind;
-use pnc_train::auglag::{train_auglag, AugLagConfig};
+use pnc_train::auglag::{train_auglag_observed, AugLagConfig};
 use pnc_train::experiment::{build_network, unconstrained_reference, PreparedData};
 use pnc_train::fidelity::{fidelity_sample, FidelitySample};
 use pnc_train::finetune::finetune;
+use pnc_train::observer::NoopObserver;
 
 /// Budget fraction the audit trains at: the middle of the paper's
 /// sweep, where both the crossbar and the circuits stay active.
@@ -55,7 +56,7 @@ fn audit_dataset(
     .map_err(|e| format!("{}: reference: {e}", id.name()))?;
     let budget = BUDGET_FRAC * p_max;
     let mut net = build_network(id, &bundle.activation, &bundle.negation, seed);
-    train_auglag(
+    train_auglag_observed(
         &mut net,
         &data.refs(),
         &AugLagConfig {
@@ -66,6 +67,7 @@ fn audit_dataset(
             warm_start: true,
             rescue: true,
         },
+        &mut NoopObserver,
     )
     .map_err(|e| format!("{}: train: {e}", id.name()))?;
     finetune(&mut net, &data.refs(), budget, &fidelity.train)

@@ -24,6 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let datasets = scale.datasets();
     let seeds = scale.seeds();
     let cap = cap_for(scale);
+    // One μ candidate: every run uses the fidelity's fixed μ.
+    let mu = [fidelity.mu];
     println!(
         "Fig. 4 scatter — scale {}, {} datasets × 4 AFs × 4 budgets × {} seed(s)",
         scale.name(),
@@ -36,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("[fig4] {} …", kind.name());
         let bundle = fit_bundle(kind, &fidelity)?;
         let per_dataset = parallel_over_datasets(&datasets, |id| {
-            run_dataset(id, &bundle, &BUDGET_FRACS, &seeds, &fidelity, cap)
+            run_dataset(id, &bundle, &BUDGET_FRACS, &seeds, &fidelity, cap, &mu)
         });
         for runs in per_dataset {
             all.extend(runs?);

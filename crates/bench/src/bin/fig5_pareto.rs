@@ -8,7 +8,7 @@
 //! ```
 
 use pnc_bench::harness::{
-    cap_for, fit_bundle, run_dataset_penalty, run_dataset_tuned, BUDGET_FRACS, MU_GRID,
+    cap_for, fit_bundle, run_dataset, run_dataset_penalty, BUDGET_FRACS, MU_GRID,
 };
 use pnc_bench::report::{write_csv, TableWriter};
 use pnc_bench::Scale;
@@ -81,7 +81,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Augmented Lagrangian points at each budget, with μ selected
         // from a small validation grid (the paper's RayTune step).
-        let al_runs = run_dataset_tuned(id, &bundle, &BUDGET_FRACS, &seeds[..1], &fidelity, cap)?;
+        let al_runs = run_dataset(
+            id,
+            &bundle,
+            &BUDGET_FRACS,
+            &seeds[..1],
+            &fidelity,
+            cap,
+            &MU_GRID,
+        )?;
         for r in &al_runs {
             al_rows.push(vec![
                 id.name().to_string(),

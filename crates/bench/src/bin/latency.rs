@@ -23,9 +23,10 @@ use pnc_core::export::export_network;
 use pnc_datasets::DatasetId;
 use pnc_spice::transient::{add_node_parasitics, step_response};
 use pnc_spice::AfKind;
-use pnc_train::auglag::{hard_power, train_auglag, AugLagConfig};
+use pnc_train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use pnc_train::experiment::{unconstrained_reference, PreparedData};
 use pnc_train::finetune::finetune;
+use pnc_train::observer::NoopObserver;
 
 /// Lumped parasitic capacitance per circuit node (printed interconnect
 /// + EGT gate capacitance are in the nF range).
@@ -75,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut net =
                 pnc_train::experiment::build_network(id, &bundle.activation, &bundle.negation, 1);
             let budget = frac * p_max;
-            train_auglag(
+            train_auglag_observed(
                 &mut net,
                 &refs,
                 &AugLagConfig {
@@ -86,6 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     warm_start: true,
                     rescue: true,
                 },
+                &mut NoopObserver,
             )?;
             finetune(&mut net, &refs, budget, &fidelity.train)?;
             let power = hard_power(&net, refs.x_train)?;

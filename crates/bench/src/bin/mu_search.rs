@@ -16,8 +16,9 @@ use pnc_bench::report::{write_csv, TableWriter};
 use pnc_bench::Scale;
 use pnc_datasets::DatasetId;
 use pnc_spice::AfKind;
-use pnc_train::auglag::{train_auglag, AugLagConfig};
+use pnc_train::auglag::{train_auglag_observed, AugLagConfig};
 use pnc_train::experiment::{unconstrained_reference, PreparedData};
+use pnc_train::observer::NoopObserver;
 use pnc_train::tune::select_mu;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -67,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for &mu in &mu_grid {
             let mut net =
                 pnc_train::experiment::build_network(id, &bundle.activation, &bundle.negation, 1);
-            let report = train_auglag(
+            let report = train_auglag_observed(
                 &mut net,
                 &refs,
                 &AugLagConfig {
@@ -79,6 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     // No rescue: expose μ's raw effect on feasibility.
                     rescue: false,
                 },
+                &mut NoopObserver,
             )?;
             table.row(vec![
                 id.name().into(),

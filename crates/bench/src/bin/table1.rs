@@ -25,6 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let datasets = scale.datasets();
     let seeds = scale.seeds();
     let cap = cap_for(scale);
+    // One μ candidate: every run uses the fidelity's fixed μ.
+    let mu = [fidelity.mu];
     println!(
         "Table I reproduction — scale {}, {} datasets, {} seed(s)",
         scale.name(),
@@ -40,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let bundle = fit_bundle(kind, &fidelity)?;
         eprintln!("[table1] running {} …", kind.name());
         let per_dataset = pnc_bench::harness::parallel_over_datasets(&datasets, |id| {
-            run_dataset(id, &bundle, &BUDGET_FRACS, &seeds, &fidelity, cap)
+            run_dataset(id, &bundle, &BUDGET_FRACS, &seeds, &fidelity, cap, &mu)
         });
         let runs: Vec<RunResult> = per_dataset
             .into_iter()

@@ -18,9 +18,10 @@ use pnc_bench::Scale;
 use pnc_core::export::export_network;
 use pnc_datasets::DatasetId;
 use pnc_spice::{AfKind, VariationModel};
-use pnc_train::auglag::{hard_power, train_auglag, AugLagConfig};
+use pnc_train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use pnc_train::experiment::{unconstrained_reference, PreparedData};
 use pnc_train::finetune::finetune;
+use pnc_train::observer::NoopObserver;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     pnc_bench::harness::configure_threads_from_args();
@@ -94,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut net =
                 pnc_train::experiment::build_network(id, &bundle.activation, &bundle.negation, 1);
             let budget = frac * p_max;
-            train_auglag(
+            train_auglag_observed(
                 &mut net,
                 &refs,
                 &AugLagConfig {
@@ -105,6 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     warm_start: true,
                     rescue: true,
                 },
+                &mut NoopObserver,
             )?;
             finetune(&mut net, &refs, budget, &fidelity.train)?;
             hard_power(&net, refs.x_train)?;

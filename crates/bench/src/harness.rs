@@ -10,7 +10,7 @@ use pnc_parallel::ExecutorHandle;
 use pnc_spice::AfKind;
 use pnc_surrogate::NegationModel;
 use pnc_train::experiment::{
-    run_constrained, run_penalty_baseline, unconstrained_reference, ExperimentFidelity,
+    run_constrained_tuned, run_penalty_baseline, unconstrained_reference, ExperimentFidelity,
     PreparedData, RunResult,
 };
 use pnc_train::trainer::DataRefs;
@@ -166,7 +166,13 @@ impl CappedData {
 }
 
 /// Runs the full constrained pipeline for one dataset at several budget
-/// fractions, reusing one unconstrained reference per seed.
+/// fractions, reusing one unconstrained reference per seed. Each run
+/// selects μ from `mu_grid` by validation accuracy (the paper's RayTune
+/// protocol); a one-candidate grid fixes μ.
+///
+/// # Panics
+///
+/// Panics when `mu_grid` is empty.
 pub fn run_dataset(
     id: DatasetId,
     bundle: &AfBundle,
@@ -174,11 +180,12 @@ pub fn run_dataset(
     seeds: &[u64],
     fidelity: &ExperimentFidelity,
     cap: usize,
+    mu_grid: &[f64],
 ) -> Result<Vec<RunResult>, BenchError> {
     let stages = prepare_seed_stages(id, bundle, seeds, fidelity, cap)?;
     let work = seed_sweep_pairs(&stages, budget_fracs);
     ExecutorHandle::get().par_try_map(&work, |_, &((seed, data, p_max), frac)| {
-        run_constrained(
+        run_constrained_tuned(
             id,
             &bundle.activation,
             &bundle.negation,
@@ -189,6 +196,7 @@ pub fn run_dataset(
             frac,
             fidelity,
             seed,
+            mu_grid,
         )
         .map_err(BenchError::from)
     })
@@ -240,36 +248,6 @@ fn seed_sweep_pairs<'a>(
 /// μ candidates used when an experiment tunes the augmented Lagrangian
 /// step parameter per dataset (the paper's RayTune protocol).
 pub const MU_GRID: [f64; 3] = [0.5, 2.0, 8.0];
-
-/// Like [`run_dataset`] but selects μ per budget from [`MU_GRID`] by
-/// validation accuracy.
-pub fn run_dataset_tuned(
-    id: DatasetId,
-    bundle: &AfBundle,
-    budget_fracs: &[f64],
-    seeds: &[u64],
-    fidelity: &ExperimentFidelity,
-    cap: usize,
-) -> Result<Vec<RunResult>, BenchError> {
-    let stages = prepare_seed_stages(id, bundle, seeds, fidelity, cap)?;
-    let work = seed_sweep_pairs(&stages, budget_fracs);
-    ExecutorHandle::get().par_try_map(&work, |_, &((seed, data, p_max), frac)| {
-        pnc_train::experiment::run_constrained_tuned(
-            id,
-            &bundle.activation,
-            &bundle.negation,
-            &data.refs(),
-            &data.x_test,
-            &data.y_test,
-            p_max,
-            frac,
-            fidelity,
-            seed,
-            &MU_GRID,
-        )
-        .map_err(BenchError::from)
-    })
-}
 
 /// Runs the penalty baseline sweep for one dataset. `faithful` selects
 /// the paper-faithful baseline behaviour (absolute-milliwatt penalty,

@@ -129,14 +129,50 @@ pub fn transient(
     tstop_seconds: f64,
     dt_seconds: f64,
 ) -> Result<TransientResult, SpiceError> {
+    integrate(circuit, circuit, tstop_seconds, dt_seconds)
+}
+
+/// Step-response helper: solves the DC point with the source at
+/// `v_initial_volts`, switches it to `v_final_volts` and integrates for `tstop_seconds`.
+///
+/// # Errors
+///
+/// Propagates element-index and solver failures.
+///
+/// # Panics
+///
+/// Panics when `dt_seconds` or `tstop_seconds` is non-positive.
+pub fn step_response(
+    circuit: &Circuit,
+    source_index: usize,
+    v_initial_volts: f64,
+    v_final_volts: f64,
+    tstop_seconds: f64,
+    dt_seconds: f64,
+) -> Result<TransientResult, SpiceError> {
+    let mut before = circuit.clone();
+    before.set_vsource(source_index, v_initial_volts)?;
+    let mut after = circuit.clone();
+    after.set_vsource(source_index, v_final_volts)?;
+    integrate(&before, &after, tstop_seconds, dt_seconds)
+}
+
+/// The backward-Euler loop: integrates `circuit` for `tstop_seconds`
+/// with fixed step `dt_seconds`, starting from the DC operating point of
+/// `initial` (capacitors open). Each step is warm-started from the
+/// previous one.
+fn integrate(
+    initial: &Circuit,
+    circuit: &Circuit,
+    tstop_seconds: f64,
+    dt_seconds: f64,
+) -> Result<TransientResult, SpiceError> {
     assert!(
         dt_seconds > 0.0 && tstop_seconds > 0.0,
         "transient: dt_seconds and tstop_seconds must be positive"
     );
     let cfg = SolverConfig::default();
-
-    // Initial condition: DC point with capacitors open.
-    let op0 = solve_dc_with(circuit, &cfg, None, &Telemetry::disabled())?;
+    let op0 = solve_dc_with(initial, &cfg, None, &Telemetry::disabled())?;
     let mut v_prev = op0.all_voltages();
 
     let steps = (tstop_seconds / dt_seconds).ceil() as usize;
@@ -148,55 +184,6 @@ pub fn transient(
     let mut warm: Option<Vec<f64>> = None;
     for k in 1..=steps {
         let comp = companion(circuit, dt_seconds, &v_prev);
-        let op = solve_dc_with(&comp, &cfg, warm.as_deref(), &Telemetry::disabled())?;
-        let v_now = op.all_voltages();
-        let mut state = v_now[1..].to_vec();
-        for b in 0..comp.branch_count() {
-            state.push(op.source_current(b));
-        }
-        warm = Some(state);
-        v_prev = v_now.clone();
-        times.push(k as f64 * dt_seconds);
-        voltages.push(v_now);
-    }
-    Ok(TransientResult { times, voltages })
-}
-
-/// Step-response helper: solves the DC point with the source at
-/// `v_initial_volts`, switches it to `v_final_volts` and integrates for `tstop_seconds`.
-///
-/// # Errors
-///
-/// Propagates element-index and solver failures.
-pub fn step_response(
-    circuit: &Circuit,
-    source_index: usize,
-    v_initial_volts: f64,
-    v_final_volts: f64,
-    tstop_seconds: f64,
-    dt_seconds: f64,
-) -> Result<TransientResult, SpiceError> {
-    // Pre-switch steady state.
-    let mut before = circuit.clone();
-    before.set_vsource(source_index, v_initial_volts)?;
-    let cfg = SolverConfig::default();
-    let op0 = solve_dc_with(&before, &cfg, None, &Telemetry::disabled())?;
-    let mut v_prev = op0.all_voltages();
-
-    // Post-switch circuit, integrated from the pre-switch state.
-    let mut after = circuit.clone();
-    after.set_vsource(source_index, v_final_volts)?;
-
-    assert!(
-        dt_seconds > 0.0 && tstop_seconds > 0.0,
-        "step_response: dt_seconds and tstop_seconds must be positive"
-    );
-    let steps = (tstop_seconds / dt_seconds).ceil() as usize;
-    let mut times = vec![0.0];
-    let mut voltages = vec![v_prev.clone()];
-    let mut warm: Option<Vec<f64>> = None;
-    for k in 1..=steps {
-        let comp = companion(&after, dt_seconds, &v_prev);
         let op = solve_dc_with(&comp, &cfg, warm.as_deref(), &Telemetry::disabled())?;
         let v_now = op.all_voltages();
         let mut state = v_now[1..].to_vec();

@@ -25,7 +25,7 @@
 //! computation time, θ and q should be warmstarted").
 
 use crate::error::TrainError;
-use crate::observer::{NoopObserver, RescueEvent, TrainObserver};
+use crate::observer::{RescueEvent, TrainObserver};
 use crate::trainer::{
     fit_instrumented, DataRefs, EpochMeasure, FitContext, FitReport, Iterate, TrainConfig,
 };
@@ -144,26 +144,20 @@ fn measure_hard_power(it: &Iterate<'_>, budget: f64) -> EpochMeasure {
 
 /// Runs the augmented Lagrangian method, mutating `net` in place. The
 /// best feasible model across all outer iterations is restored at the
-/// end.
+/// end. The observer receives every inner-loop epoch (stamped with the
+/// outer iteration's λ, μ and the normalized constraint), every
+/// outer-iteration record, and every rescue-phase milestone; pass a
+/// [`crate::observer::NoopObserver`] when nothing listens.
 ///
 /// # Errors
 ///
 /// Returns [`TrainError::Core`] when data shapes disagree with the
 /// network topology, and [`TrainError::NonFinite`] when an inner solve
 /// collapses numerically (NaN/Inf loss or gradient).
-pub fn train_auglag(
-    net: &mut PrintedNetwork,
-    data: &DataRefs<'_>,
-    cfg: &AugLagConfig,
-) -> Result<AugLagReport, TrainError> {
-    train_auglag_observed(net, data, cfg, &mut NoopObserver)
-}
-
-/// [`train_auglag`] with instrumentation: the observer receives every
-/// inner-loop epoch (stamped with the outer iteration's λ, μ and the
-/// normalized constraint), every outer-iteration record, and every
-/// rescue-phase milestone. A [`crate::observer::NoopObserver`] makes
-/// this exactly [`train_auglag`].
+///
+/// # Panics
+///
+/// Panics when the budget or `μ` is not positive.
 pub fn train_auglag_observed(
     net: &mut PrintedNetwork,
     data: &DataRefs<'_>,
@@ -348,7 +342,7 @@ pub fn train_auglag_observed(
                 &rescue_ctx,
                 observer,
             )?;
-            // `fit` restores the best iterate under (feasible, acc); if
+            // The fit restores the best iterate under (feasible, acc); if
             // every training iterate violated, re-project.
             let mut guard2 = 0;
             while hard_power(net, data.x_train)? > budget && guard2 < 400 {
@@ -383,6 +377,7 @@ pub fn train_auglag_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::NoopObserver;
     use crate::trainer::test_support::tiny_network;
     use pnc_datasets::{Dataset, DatasetId};
 
@@ -404,7 +399,13 @@ mod tests {
         // Constrain to 30 % of it.
         let budget = 0.3 * p_max;
         let mut net = tiny_network(4, 3, 11);
-        let report = train_auglag(&mut net, &data, &AugLagConfig::smoke(budget)).unwrap();
+        let report = train_auglag_observed(
+            &mut net,
+            &data,
+            &AugLagConfig::smoke(budget),
+            &mut NoopObserver,
+        )
+        .unwrap();
         assert!(
             report.power_watts <= budget * 1.02,
             "constraint violated: {:e} > {:e}",
@@ -431,7 +432,7 @@ mod tests {
             },
             ..AugLagConfig::smoke(p0 * 1e-6)
         };
-        let report = train_auglag(&mut net, &data, &cfg).unwrap();
+        let report = train_auglag_observed(&mut net, &data, &cfg, &mut NoopObserver).unwrap();
         assert!(report.lambda_final > 0.0, "λ should grow: {report:?}");
         assert!(!report.outer.is_empty());
     }
@@ -445,7 +446,7 @@ mod tests {
         // Budget far above anything reachable: λ stays 0 and accuracy
         // should improve like plain CE training.
         let cfg = AugLagConfig::smoke(p0 * 100.0);
-        let report = train_auglag(&mut net, &data, &cfg).unwrap();
+        let report = train_auglag_observed(&mut net, &data, &cfg, &mut NoopObserver).unwrap();
         assert_eq!(report.lambda_final, 0.0);
         assert!(report.feasible);
         assert!(report.val_accuracy > 0.5, "acc {}", report.val_accuracy);
@@ -465,7 +466,7 @@ mod tests {
             },
             ..AugLagConfig::smoke(p0)
         };
-        let report = train_auglag(&mut net, &data, &cfg).unwrap();
+        let report = train_auglag_observed(&mut net, &data, &cfg, &mut NoopObserver).unwrap();
         assert_eq!(report.outer.len(), 2);
         assert_eq!(report.outer[0].lambda, 0.0);
         for rec in &report.outer {
@@ -553,6 +554,11 @@ mod tests {
         let (split, _) = iris_data();
         let data = DataRefs::from_split(&split);
         let mut net = tiny_network(4, 3, 23);
-        let _ = train_auglag(&mut net, &data, &AugLagConfig::smoke(0.0));
+        let _ = train_auglag_observed(
+            &mut net,
+            &data,
+            &AugLagConfig::smoke(0.0),
+            &mut NoopObserver,
+        );
     }
 }

@@ -12,10 +12,11 @@
 //!
 //! plus the penalty-baseline sweep used for the Pareto comparison.
 
-use crate::auglag::{hard_power, train_auglag, AugLagConfig};
+use crate::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use crate::error::TrainError;
 use crate::finetune::finetune;
-use crate::penalty::{train_penalty, PenaltyConfig};
+use crate::observer::NoopObserver;
+use crate::penalty::{train_penalty_observed, PenaltyConfig};
 use crate::trainer::{fit_cross_entropy, DataRefs, TrainConfig};
 use pnc_core::activation::{LearnableActivation, SurrogateFidelity};
 use pnc_core::{NetworkConfig, PrintedNetwork};
@@ -179,7 +180,7 @@ pub fn run_constrained(
         warm_start: true,
         rescue: true,
     };
-    train_auglag(&mut net, data, &cfg)?;
+    train_auglag_observed(&mut net, data, &cfg, &mut NoopObserver)?;
     finetune(&mut net, data, budget, &fidelity.train)?;
 
     let power = hard_power(&net, data.x_train)?;
@@ -293,7 +294,7 @@ pub fn run_penalty_baseline(
         inner: train.with_seed(seed),
         faithful,
     };
-    train_penalty(&mut net, data, &cfg)?;
+    train_penalty_observed(&mut net, data, &cfg, &mut NoopObserver)?;
     let power = hard_power(&net, data.x_train)?;
     Ok(RunResult {
         dataset: id,

@@ -14,7 +14,8 @@
 
 use crate::auglag::hard_power;
 use crate::error::TrainError;
-use crate::trainer::{fit, DataRefs, Iterate, TrainConfig};
+use crate::observer::NoopObserver;
+use crate::trainer::{fit_instrumented, DataRefs, EpochMeasure, FitContext, Iterate, TrainConfig};
 use pnc_core::PrintedNetwork;
 
 /// Result of the fine-tuning phase.
@@ -50,14 +51,20 @@ pub fn finetune(
     let before_power = hard_power(net, data.x_train)?;
 
     let pruned = net.build_masks();
-    let report = fit(
+    // A shape mismatch inside the feasibility probe (impossible once the
+    // fit loop has bound the same inputs) counts as infeasible.
+    let measure = |it: &Iterate<'_>| EpochMeasure {
+        power_watts: None,
+        feasible: it.hard_power().is_ok_and(|p| p <= budget_watts),
+    };
+    let report = fit_instrumented(
         net,
         data,
         cfg,
         &|_tape, _bound, ce| ce,
-        // A shape mismatch inside the feasibility probe (impossible once
-        // the fit loop has bound the same inputs) counts as infeasible.
-        &|it: &Iterate<'_>| it.hard_power().is_ok_and(|p| p <= budget_watts),
+        &measure,
+        &FitContext::default(),
+        &mut NoopObserver,
     )?;
 
     // If fine-tuning never found a feasible iterate (and we started
@@ -87,7 +94,7 @@ pub fn finetune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::auglag::{train_auglag, AugLagConfig};
+    use crate::auglag::{train_auglag_observed, AugLagConfig};
     use crate::trainer::fit_cross_entropy;
     use crate::trainer::test_support::tiny_network;
     use pnc_datasets::{Dataset, DatasetId};
@@ -104,7 +111,13 @@ mod tests {
         let budget = 0.4 * p_max;
 
         let mut net = tiny_network(4, 3, 51);
-        let al = train_auglag(&mut net, &data, &AugLagConfig::smoke(budget)).unwrap();
+        let al = train_auglag_observed(
+            &mut net,
+            &data,
+            &AugLagConfig::smoke(budget),
+            &mut NoopObserver,
+        )
+        .unwrap();
         let ft = finetune(&mut net, &data, budget, &TrainConfig::smoke()).unwrap();
 
         assert!(ft.feasible, "fine-tune must stay within budget: {ft:?}");

@@ -55,7 +55,7 @@ pub mod trainer;
 pub mod tune;
 pub mod watchdog;
 
-pub use auglag::{train_auglag, train_auglag_observed, AugLagConfig, AugLagReport};
+pub use auglag::{train_auglag_observed, AugLagConfig, AugLagReport};
 pub use error::{NonFiniteKind, TrainError};
 pub use experiment::{ExperimentFidelity, RunResult};
 pub use fidelity::{fidelity_sample, FidelityConfig, FidelityMonitor, FidelitySample};
@@ -63,9 +63,9 @@ pub use observer::{
     NoopObserver, RecordingObserver, RescueEvent, TelemetryObserver, TrainObserver,
 };
 pub use pareto::{pareto_front, ParetoPoint};
-pub use penalty::{train_penalty, train_penalty_observed, PenaltyConfig};
+pub use penalty::{train_penalty_observed, PenaltyConfig};
 pub use trainer::{
-    fit, fit_instrumented, DataRefs, EpochMeasure, EpochRecord, FitContext, FitReport, Iterate,
+    fit_instrumented, DataRefs, EpochMeasure, EpochRecord, FitContext, FitReport, Iterate,
     TrainConfig,
 };
 pub use watchdog::{Diagnosis, HealthWatchdog, WatchdogConfig};

@@ -21,7 +21,8 @@
 //!   substrate area and yield rather than energy.
 
 use crate::error::TrainError;
-use crate::trainer::{fit, DataRefs, Iterate, TrainConfig};
+use crate::observer::NoopObserver;
+use crate::trainer::{fit_instrumented, DataRefs, EpochMeasure, FitContext, Iterate, TrainConfig};
 use pnc_autodiff::{Tape, Var};
 use pnc_core::activation::{devices_per_af, DEVICES_PER_NEGATION};
 use pnc_core::count::{soft_af_count, soft_neg_count};
@@ -186,7 +187,7 @@ pub fn train_multi_constraint(
         let lam = lambdas.clone();
         let constraints = cfg.constraints.clone();
         let mu = cfg.mu;
-        // The objective needs `net` for device-count weights, but `fit`
+        // The objective needs `net` for device-count weights, but the fit
         // also borrows it mutably; clone the immutable configuration
         // bits we need instead.
         let net_snapshot = net.clone();
@@ -209,12 +210,21 @@ pub fn train_multi_constraint(
         // A shape mismatch inside the feasibility probe (impossible
         // once the fit loop has bound the same inputs) counts as
         // infeasible instead of panicking.
-        let feasible = move |it: &Iterate<'_>| {
-            cons2
+        let measure = move |it: &Iterate<'_>| EpochMeasure {
+            power_watts: None,
+            feasible: cons2
                 .iter()
-                .all(|c| c.violation(it).is_ok_and(|v| v <= 0.0))
+                .all(|c| c.violation(it).is_ok_and(|v| v <= 0.0)),
         };
-        fit(net, data, &cfg.inner, &objective, &feasible)?;
+        fit_instrumented(
+            net,
+            data,
+            &cfg.inner,
+            &objective,
+            &measure,
+            &FitContext::default(),
+            &mut NoopObserver,
+        )?;
 
         // Multiplier updates on hard violations.
         let violations: Vec<f64> = cfg

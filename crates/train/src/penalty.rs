@@ -8,7 +8,7 @@
 //! runs per dataset in the paper, versus a single constrained run.
 
 use crate::error::TrainError;
-use crate::observer::{NoopObserver, TrainObserver};
+use crate::observer::TrainObserver;
 use crate::trainer::{
     fit_instrumented, DataRefs, EpochMeasure, FitContext, FitReport, Iterate, TrainConfig,
 };
@@ -80,7 +80,11 @@ pub struct PenaltyReport {
     pub fit: FitReport,
 }
 
-/// Trains `net` with the penalty objective, in place.
+/// Trains `net` with the penalty objective, in place. When the observer
+/// [wants power](TrainObserver::wants_power), the hard power is also
+/// measured once per epoch; the baseline has no feasibility notion, so
+/// that reading is telemetry only and never affects model selection.
+/// A [`NoopObserver`](crate::observer::NoopObserver) skips it.
 ///
 /// # Errors
 ///
@@ -91,27 +95,6 @@ pub struct PenaltyReport {
 /// # Panics
 ///
 /// Panics when `alpha` is negative or `p_ref_watts` is not positive.
-pub fn train_penalty(
-    net: &mut PrintedNetwork,
-    data: &DataRefs<'_>,
-    cfg: &PenaltyConfig,
-) -> Result<PenaltyReport, TrainError> {
-    train_penalty_observed(net, data, cfg, &mut NoopObserver)
-}
-
-/// [`train_penalty`] with instrumentation. With a real observer the
-/// hard power is additionally measured once per epoch (the baseline
-/// has no feasibility notion, so power is telemetry-only and never
-/// affects model selection); with a [`NoopObserver`] the measurement
-/// is skipped and this is exactly [`train_penalty`].
-///
-/// # Errors
-///
-/// Same conditions as [`train_penalty`].
-///
-/// # Panics
-///
-/// Same conditions as [`train_penalty`].
 pub fn train_penalty_observed(
     net: &mut PrintedNetwork,
     data: &DataRefs<'_>,
@@ -185,6 +168,7 @@ pub fn train_penalty_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::NoopObserver;
     use crate::trainer::test_support::tiny_network;
     use pnc_datasets::{Dataset, DatasetId};
 
@@ -199,9 +183,21 @@ mod tests {
         };
 
         let mut low = tiny_network(4, 3, 31);
-        let r_low = train_penalty(&mut low, &data, &PenaltyConfig::smoke(0.0, p_ref)).unwrap();
+        let r_low = train_penalty_observed(
+            &mut low,
+            &data,
+            &PenaltyConfig::smoke(0.0, p_ref),
+            &mut NoopObserver,
+        )
+        .unwrap();
         let mut high = tiny_network(4, 3, 31);
-        let r_high = train_penalty(&mut high, &data, &PenaltyConfig::smoke(1.0, p_ref)).unwrap();
+        let r_high = train_penalty_observed(
+            &mut high,
+            &data,
+            &PenaltyConfig::smoke(1.0, p_ref),
+            &mut NoopObserver,
+        )
+        .unwrap();
         assert!(
             r_high.power_watts < r_low.power_watts,
             "α=1 should burn less than α=0: {:e} vs {:e}",
@@ -216,7 +212,13 @@ mod tests {
         let split = ds.split(3);
         let data = DataRefs::from_split(&split);
         let mut net = tiny_network(4, 3, 37);
-        let r = train_penalty(&mut net, &data, &PenaltyConfig::smoke(0.0, 1e-3)).unwrap();
+        let r = train_penalty_observed(
+            &mut net,
+            &data,
+            &PenaltyConfig::smoke(0.0, 1e-3),
+            &mut NoopObserver,
+        )
+        .unwrap();
         assert!(r.val_accuracy > 0.5, "acc {}", r.val_accuracy);
     }
 
@@ -233,7 +235,7 @@ mod tests {
             },
             ..PenaltyConfig::faithful(0.5)
         };
-        train_penalty(&mut net, &data, &cfg).unwrap();
+        train_penalty_observed(&mut net, &data, &cfg, &mut NoopObserver).unwrap();
         // Faithful mode pins designs at the standard cell (ρ = 0) and
         // never moves them.
         for rho in &net.param_values()[2..] {
@@ -258,13 +260,14 @@ mod tests {
 
         let mut ctrl = tiny_network(4, 3, 47);
         let rho0 = ctrl.param_values()[2..].to_vec();
-        train_penalty(
+        train_penalty_observed(
             &mut ctrl,
             &data,
             &PenaltyConfig {
                 inner: cfg_inner,
                 ..PenaltyConfig::new(0.0, 1e-4)
             },
+            &mut NoopObserver,
         )
         .unwrap();
         let moved = ctrl.param_values()[2..]
@@ -274,13 +277,14 @@ mod tests {
         assert!(moved, "controlled baseline should learn designs");
 
         let mut faith = tiny_network(4, 3, 47);
-        train_penalty(
+        train_penalty_observed(
             &mut faith,
             &data,
             &PenaltyConfig {
                 inner: cfg_inner,
                 ..PenaltyConfig::faithful(0.0)
             },
+            &mut NoopObserver,
         )
         .unwrap();
         for rho in &faith.param_values()[2..] {
@@ -296,6 +300,11 @@ mod tests {
         let split = ds.split(4);
         let data = DataRefs::from_split(&split);
         let mut net = tiny_network(4, 3, 41);
-        let _ = train_penalty(&mut net, &data, &PenaltyConfig::smoke(0.5, 0.0));
+        let _ = train_penalty_observed(
+            &mut net,
+            &data,
+            &PenaltyConfig::smoke(0.5, 0.0),
+            &mut NoopObserver,
+        );
     }
 }

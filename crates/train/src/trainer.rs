@@ -100,7 +100,7 @@ impl TrainConfig {
     }
 }
 
-/// Outcome of a [`fit`] run.
+/// Outcome of a [`fit_instrumented`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitReport {
     /// Epochs actually executed.
@@ -131,12 +131,7 @@ pub struct FitReport {
 /// minimize.
 pub type ObjectiveFn<'f> = dyn Fn(&mut Tape, &BoundNetwork, Var) -> Var + 'f;
 
-/// Feasibility predicate evaluated on each epoch's [`Iterate`] (e.g.
-/// "hard power within budget"). Used only for best-model selection,
-/// never for gradients.
-pub type FeasibleFn<'f> = dyn Fn(&Iterate<'_>) -> bool + 'f;
-
-/// The iterate a [`MeasureFn`] or [`FeasibleFn`] judges: the network
+/// The iterate a [`MeasureFn`] judges: the network
 /// after one update, plus the crossbar input of every layer when the
 /// training forward at these parameters recorded them. Pricing it then
 /// costs no forward pass.
@@ -182,8 +177,7 @@ impl<'a> Iterate<'a> {
 
 /// Per-epoch hard measurement produced by a [`MeasureFn`]. Bundling
 /// power and feasibility into one closure means the hard power is
-/// computed at most once per epoch, exactly as often as the old
-/// feasibility predicate evaluated it.
+/// computed at most once per epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochMeasure {
     /// Hard power (watts) of the current iterate, when the run prices
@@ -247,37 +241,6 @@ pub struct EpochRecord {
     pub lambda: Option<f64>,
     /// Step parameter `μ` of the surrounding outer iteration, if any.
     pub mu: Option<f64>,
-}
-
-/// Trains `net` in place, returning the report. The best model under
-/// (feasible, validation accuracy, low validation loss) ordering is
-/// restored into `net` at the end.
-///
-/// # Errors
-///
-/// Returns [`TrainError::Core`] when data shapes disagree with the
-/// network topology and [`TrainError::NonFinite`] when the objective
-/// or gradient collapses to NaN/Inf.
-pub fn fit(
-    net: &mut PrintedNetwork,
-    data: &DataRefs<'_>,
-    cfg: &TrainConfig,
-    objective: &ObjectiveFn<'_>,
-    feasible: &FeasibleFn<'_>,
-) -> Result<FitReport, TrainError> {
-    let measure = |it: &Iterate<'_>| EpochMeasure {
-        power_watts: None,
-        feasible: feasible(it),
-    };
-    fit_instrumented(
-        net,
-        data,
-        cfg,
-        objective,
-        &measure,
-        &FitContext::default(),
-        &mut NoopObserver,
-    )
 }
 
 /// A gradient step whose iterate awaits validation and pricing.
@@ -378,12 +341,14 @@ impl Selection<'_> {
     }
 }
 
-/// The fully instrumented training loop. `measure` prices each epoch's
-/// updated network (hard power + feasibility in one pass); `ctx` stamps
-/// the surrounding constraint state (λ, μ, budget) into every
-/// [`EpochRecord`]; `observer` receives each record. Training behaviour
-/// is identical to [`fit`] for the same `objective` and feasibility
-/// semantics.
+/// The training loop: trains `net` in place and restores the best model
+/// under (feasible, validation accuracy, low validation loss) ordering
+/// at the end. `measure` prices each epoch's updated network (hard
+/// power + feasibility in one pass); `ctx` stamps the surrounding
+/// constraint state (λ, μ, budget) into every [`EpochRecord`];
+/// `observer` receives each record. Callers with nothing to observe
+/// pass [`NoopObserver`] and `&FitContext::default()`;
+/// the observer never changes training.
 ///
 /// One tape forward per epoch serves both the gradient and the hard
 /// power: the forward at θₜ₊₁ first settles step `t` (validation,
@@ -521,17 +486,25 @@ pub fn fit_instrumented(
 }
 
 /// Trains with plain cross-entropy (no power term). Used to measure the
-/// unconstrained power ceiling `P_max` and as the fine-tuning engine.
+/// unconstrained power ceiling `P_max`.
 ///
 /// # Errors
 ///
-/// Same conditions as [`fit`].
+/// Same conditions as [`fit_instrumented`].
 pub fn fit_cross_entropy(
     net: &mut PrintedNetwork,
     data: &DataRefs<'_>,
     cfg: &TrainConfig,
 ) -> Result<FitReport, TrainError> {
-    fit(net, data, cfg, &|_tape, _bound, ce| ce, &|_net| true)
+    fit_instrumented(
+        net,
+        data,
+        cfg,
+        &|_tape, _bound, ce| ce,
+        &|_it| EpochMeasure::unconstrained(),
+        &FitContext::default(),
+        &mut NoopObserver,
+    )
 }
 
 #[cfg(test)]
@@ -624,7 +597,20 @@ mod tests {
             max_epochs: 5,
             ..TrainConfig::smoke()
         };
-        let report = fit(&mut net, &data, &cfg, &|_t, _b, ce| ce, &|_n| false).unwrap();
+        let infeasible = |_it: &Iterate<'_>| EpochMeasure {
+            power_watts: None,
+            feasible: false,
+        };
+        let report = fit_instrumented(
+            &mut net,
+            &data,
+            &cfg,
+            &|_t, _b, ce| ce,
+            &infeasible,
+            &FitContext::default(),
+            &mut NoopObserver,
+        )
+        .unwrap();
         assert!(!report.best_is_feasible);
     }
 
@@ -658,10 +644,10 @@ mod tests {
         assert!(history
             .iter()
             .all(|r| (0.0..=1.0).contains(&r.val_accuracy)));
-        // Telemetry must not change training: plain fit from the same
-        // seed produces the same final parameters.
+        // Telemetry must not change training: an unobserved fit from the
+        // same seed produces the same final parameters.
         let mut net2 = test_support::tiny_network(4, 3, 10);
-        fit(&mut net2, &data, &cfg, &|_t, _b, ce| ce, &|_n| true).unwrap();
+        fit_cross_entropy(&mut net2, &data, &cfg).unwrap();
         assert_eq!(net.param_values()[0], net2.param_values()[0]);
     }
 
@@ -776,7 +762,7 @@ mod tests {
         };
 
         let mut plain = test_support::tiny_network(4, 3, 13);
-        let r_plain = fit(&mut plain, &data, &cfg, &|_t, _b, ce| ce, &|_n| true).unwrap();
+        let r_plain = fit_cross_entropy(&mut plain, &data, &cfg).unwrap();
 
         let mut observed = test_support::tiny_network(4, 3, 13);
         let mut rec = RecordingObserver::new();
@@ -884,7 +870,7 @@ mod tests {
         let p_ce = net_ce.power_report(data.x_train).unwrap().total();
 
         let mut net_pw = test_support::tiny_network(4, 3, 9);
-        fit(
+        fit_instrumented(
             &mut net_pw,
             &data,
             &cfg,
@@ -892,7 +878,9 @@ mod tests {
                 let pw = tape.mul_scalar(bound.power, 1e6); // watts → O(10)
                 tape.add(ce, pw)
             },
-            &|_n| true,
+            &|_it| EpochMeasure::unconstrained(),
+            &FitContext::default(),
+            &mut NoopObserver,
         )
         .unwrap();
         let p_pw = net_pw.power_report(data.x_train).unwrap().total();

@@ -6,8 +6,9 @@
 //! winner. The search is embarrassingly parallel across candidates;
 //! callers may thread it themselves if desired.
 
-use crate::auglag::{train_auglag, AugLagConfig};
+use crate::auglag::{train_auglag_observed, AugLagConfig};
 use crate::error::TrainError;
+use crate::observer::NoopObserver;
 use crate::trainer::DataRefs;
 use pnc_core::PrintedNetwork;
 
@@ -47,7 +48,7 @@ pub fn default_mu_grid() -> Vec<f64> {
 
 /// Evaluates each candidate `μ` by running the augmented Lagrangian
 /// from the same initial network (cloned per trial) and scoring by
-/// (feasible, validation accuracy).
+/// (feasible, validation accuracy); the first candidate wins ties.
 ///
 /// # Errors
 ///
@@ -69,7 +70,7 @@ pub fn select_mu(
     for &mu in candidates {
         let mut net = net_template.clone();
         let cfg = AugLagConfig { mu, ..*base_cfg };
-        let report = train_auglag(&mut net, data, &cfg)?;
+        let report = train_auglag_observed(&mut net, data, &cfg, &mut NoopObserver)?;
         trials.push(MuTrial {
             mu,
             feasible: report.feasible,
@@ -77,16 +78,20 @@ pub fn select_mu(
             power_watts: report.power_watts,
         });
     }
-    let best = trials
-        .iter()
-        .enumerate()
-        .max_by(|a, b| {
-            // total_cmp gives a total order even if an accuracy is NaN.
-            (a.1.feasible.cmp(&b.1.feasible)).then(a.1.val_accuracy.total_cmp(&b.1.val_accuracy))
-        })
-        .map(|(i, _)| i)
-        // lint: allow(L001, reason = "candidates is asserted non-empty above, so trials is too")
-        .expect("non-empty");
+    // A strict `>` keeps the first of tied candidates, the rule
+    // `experiment::run_constrained_tuned` applies; total_cmp gives a
+    // total order even if an accuracy is NaN.
+    let mut best = 0;
+    for (i, t) in trials.iter().enumerate().skip(1) {
+        let b = &trials[best];
+        if t.feasible
+            .cmp(&b.feasible)
+            .then(t.val_accuracy.total_cmp(&b.val_accuracy))
+            .is_gt()
+        {
+            best = i;
+        }
+    }
     Ok(MuSearchReport { trials, best })
 }
 
@@ -119,6 +124,27 @@ mod tests {
         assert!(winner.feasible, "{report:?}");
         // lint: allow(L002, reason = "grid values are copied through untouched, bit-exact")
         assert!(report.best_mu() == 1.0 || report.best_mu() == 5.0);
+    }
+
+    #[test]
+    fn first_candidate_wins_ties() {
+        let ds = Dataset::generate(DatasetId::Iris, 13);
+        let split = ds.split(9);
+        let data = DataRefs::from_split(&split);
+        let net = tiny_network(4, 3, 71);
+        let p0 = hard_power(&net, data.x_train).unwrap();
+        let base = AugLagConfig {
+            outer_iters: 1,
+            inner: TrainConfig {
+                max_epochs: 5,
+                ..TrainConfig::smoke()
+            },
+            ..AugLagConfig::smoke(p0)
+        };
+        // Equal candidates train identical networks, so the trials tie.
+        let report = select_mu(&net, &data, &base, &[1.0, 1.0]).unwrap();
+        assert_eq!(report.trials[0], report.trials[1]);
+        assert_eq!(report.best, 0, "{report:?}");
     }
 
     #[test]

@@ -1,17 +1,27 @@
-//! Golden trajectory: one smoke augmented-Lagrangian run followed by
-//! fine-tuning must reproduce, bit for bit, the per-epoch
-//! `(objective, val_accuracy, power_watts)` trajectory, the epoch
-//! count and the final parameters recorded when the test was written.
-//! Any edit to the epoch loop that moves a single bit fails here.
+//! Golden trajectories: seed-fixed smoke runs of each training step
+//! must reproduce, bit for bit, the digests recorded when the tests
+//! were written.
+//!
+//! * One augmented-Lagrangian run followed by fine-tuning pins the
+//!   per-epoch `(objective, val_accuracy, power_watts)` trajectory, the
+//!   epoch count and the final parameters. Any edit to the epoch loop
+//!   that moves a single bit fails here.
+//! * One controlled and one paper-faithful penalty-baseline run pin the
+//!   final parameters and the reported power and validation accuracy.
+//! * The unconstrained reference pins `P_max` and its parameters.
 
 use pnc_core::activation::{LearnableActivation, SurrogateFidelity};
 use pnc_core::{NetworkConfig, PrintedNetwork};
 use pnc_datasets::{Dataset, DatasetId};
+use pnc_surrogate::NegationModel;
 use pnc_telemetry::Telemetry;
 use pnc_train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
+use pnc_train::experiment::unconstrained_reference;
 use pnc_train::finetune::finetune;
-use pnc_train::observer::RecordingObserver;
+use pnc_train::observer::{NoopObserver, RecordingObserver};
+use pnc_train::penalty::{train_penalty_observed, PenaltyConfig};
 use pnc_train::trainer::{DataRefs, TrainConfig};
+use std::sync::OnceLock;
 
 /// Epochs recorded across every inner solve of the run.
 const GOLDEN_EPOCHS: usize = 77;
@@ -20,6 +30,15 @@ const GOLDEN_EPOCHS: usize = 77;
 const GOLDEN_TRAJECTORY: u64 = 0xacf3_db0c_3a25_d51d;
 /// FNV-1a digest of the final parameter bits, in `param_values` order.
 const GOLDEN_PARAMS: u64 = 0x6532_6dd1_e118_ae23;
+
+/// FNV-1a digest of a controlled penalty run's final parameters, then
+/// its `power_watts` and `val_accuracy` bits.
+const GOLDEN_PENALTY_CONTROLLED: u64 = 0x9cb8_dff6_1e4e_f66e;
+/// The same digest for a paper-faithful penalty run.
+const GOLDEN_PENALTY_FAITHFUL: u64 = 0xb46d_9969_bf3c_5102;
+/// FNV-1a digest of the unconstrained reference's `P_max` bits, then
+/// its parameters.
+const GOLDEN_REFERENCE: u64 = 0x26ef_e2dc_4eab_23c4;
 
 fn fnv1a(mut h: u64, word: u64) -> u64 {
     for b in word.to_le_bytes() {
@@ -31,18 +50,40 @@ fn fnv1a(mut h: u64, word: u64) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Folds the parameter bits of `net`, in `param_values` order, into `h`.
+fn digest_params(h: u64, net: &PrintedNetwork) -> u64 {
+    net.param_values()
+        .iter()
+        .flat_map(|m| m.as_slice().to_vec())
+        .fold(h, |h, v| fnv1a(h, v.to_bits()))
+}
+
+/// Smoke p-tanh and negation surrogates, fitted once per test binary.
+fn parts() -> &'static (LearnableActivation, NegationModel) {
+    static CELL: OnceLock<(LearnableActivation, NegationModel)> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let act = LearnableActivation::fit(
+            pnc_spice::AfKind::PTanh,
+            &SurrogateFidelity::smoke(),
+            &Telemetry::disabled(),
+        )
+        .expect("smoke surrogate");
+        let neg = pnc_core::activation::fit_negation_model(9).expect("negation surrogate");
+        (act, neg)
+    })
+}
+
+/// A 4-in 3-out network seeded with `seed`.
+fn network(seed: u64) -> PrintedNetwork {
+    let (act, neg) = parts().clone();
+    let mut rng = pnc_linalg::rng::seeded(seed);
+    PrintedNetwork::new(4, 3, NetworkConfig::default(), act, neg, &mut rng)
+        .expect("4-in 3-out network")
+}
+
 #[test]
 fn smoke_auglag_and_finetune_reproduce_the_golden_trajectory() {
-    let act = LearnableActivation::fit(
-        pnc_spice::AfKind::PTanh,
-        &SurrogateFidelity::smoke(),
-        &Telemetry::disabled(),
-    )
-    .expect("smoke surrogate");
-    let neg = pnc_core::activation::fit_negation_model(9).expect("negation surrogate");
-    let mut rng = pnc_linalg::rng::seeded(41);
-    let mut net = PrintedNetwork::new(4, 3, NetworkConfig::default(), act, neg, &mut rng)
-        .expect("4-in 3-out network");
+    let mut net = network(41);
     let ds = Dataset::generate(DatasetId::Iris, 41);
     let split = ds.split(41);
     let data = DataRefs::from_split(&split);
@@ -72,11 +113,7 @@ fn smoke_auglag_and_finetune_reproduce_the_golden_trajectory() {
         let h = fnv1a(h, r.val_accuracy.to_bits());
         fnv1a(h, power)
     });
-    let params = net
-        .param_values()
-        .iter()
-        .flat_map(|m| m.as_slice().to_vec())
-        .fold(FNV_OFFSET, |h, v| fnv1a(h, v.to_bits()));
+    let params = digest_params(FNV_OFFSET, &net);
     let got = (rec.epochs.len(), trajectory, params);
     assert_eq!(
         got,
@@ -86,4 +123,53 @@ fn smoke_auglag_and_finetune_reproduce_the_golden_trajectory() {
         got.1,
         got.2
     );
+}
+
+/// Digest of one penalty run at α = 0.5 from network seed 43 on the
+/// Iris split seeded with 43.
+fn penalty_digest(faithful: bool) -> u64 {
+    let mut net = network(43);
+    let ds = Dataset::generate(DatasetId::Iris, 43);
+    let split = ds.split(43);
+    let data = DataRefs::from_split(&split);
+    let p_ref = hard_power(&net, data.x_train).expect("shapes match");
+    let base = if faithful {
+        PenaltyConfig::faithful(0.5)
+    } else {
+        PenaltyConfig::new(0.5, p_ref)
+    };
+    let cfg = PenaltyConfig {
+        inner: TrainConfig::smoke(),
+        ..base
+    };
+    let report =
+        train_penalty_observed(&mut net, &data, &cfg, &mut NoopObserver).expect("penalty run");
+    let h = digest_params(FNV_OFFSET, &net);
+    let h = fnv1a(h, report.power_watts.to_bits());
+    fnv1a(h, report.val_accuracy.to_bits())
+}
+
+#[test]
+fn smoke_penalty_runs_reproduce_their_golden_digests() {
+    let got = (penalty_digest(false), penalty_digest(true));
+    assert_eq!(
+        got,
+        (GOLDEN_PENALTY_CONTROLLED, GOLDEN_PENALTY_FAITHFUL),
+        "got ({:#018x}, {:#018x})",
+        got.0,
+        got.1
+    );
+}
+
+#[test]
+fn smoke_unconstrained_reference_reproduces_its_golden_digest() {
+    let (act, neg) = parts();
+    let ds = Dataset::generate(DatasetId::Iris, 47);
+    let split = ds.split(47);
+    let data = DataRefs::from_split(&split);
+    let (net, p_max) =
+        unconstrained_reference(DatasetId::Iris, act, neg, &data, &TrainConfig::smoke(), 47)
+            .expect("reference run");
+    let got = digest_params(fnv1a(FNV_OFFSET, p_max.to_bits()), &net);
+    assert_eq!(got, GOLDEN_REFERENCE, "got {got:#018x}");
 }

@@ -13,8 +13,9 @@ use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
 use pnc::telemetry::Telemetry;
-use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
+use pnc::train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use pnc::train::finetune::finetune;
+use pnc::train::observer::NoopObserver;
 use pnc::train::trainer::{DataRefs, TrainConfig};
 
 fn main() {
@@ -49,7 +50,7 @@ fn main() {
         patience: 50,
         ..TrainConfig::default()
     };
-    train_auglag(
+    train_auglag_observed(
         &mut net,
         &data,
         &AugLagConfig {
@@ -60,6 +61,7 @@ fn main() {
             warm_start: true,
             rescue: true,
         },
+        &mut NoopObserver,
     )
     .expect("constrained training");
     finetune(&mut net, &data, budget, &cfg).expect("fine-tuning");

@@ -10,8 +10,9 @@ use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
 use pnc::telemetry::Telemetry;
-use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
+use pnc::train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use pnc::train::finetune::finetune;
+use pnc::train::observer::NoopObserver;
 use pnc::train::trainer::{fit_cross_entropy, DataRefs, TrainConfig};
 
 fn main() {
@@ -78,7 +79,7 @@ fn main() {
         &mut rng,
     )
     .expect("4-3-3 topology");
-    let report = train_auglag(
+    let report = train_auglag_observed(
         &mut net,
         &data,
         &AugLagConfig {
@@ -89,6 +90,7 @@ fn main() {
             warm_start: true,
             rescue: true,
         },
+        &mut NoopObserver,
     )
     .expect("constrained training");
     println!(

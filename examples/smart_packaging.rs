@@ -18,7 +18,8 @@ use pnc::linalg::rng::{next_normal, seeded};
 use pnc::linalg::Matrix;
 use pnc::spice::AfKind;
 use pnc::telemetry::Telemetry;
-use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
+use pnc::train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
+use pnc::train::observer::NoopObserver;
 use pnc::train::trainer::{DataRefs, TrainConfig};
 use rand::Rng;
 
@@ -94,7 +95,7 @@ fn main() {
         HARVESTER_BUDGET_W * 1e3
     );
 
-    let report = train_auglag(
+    let report = train_auglag_observed(
         &mut net,
         &data,
         &AugLagConfig {
@@ -110,6 +111,7 @@ fn main() {
             warm_start: true,
             rescue: true,
         },
+        &mut NoopObserver,
     )
     .expect("constrained training");
 

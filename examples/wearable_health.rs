@@ -18,8 +18,9 @@ use pnc::circuit::{NetworkConfig, PrintedNetwork};
 use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
 use pnc::telemetry::Telemetry;
-use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
+use pnc::train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use pnc::train::finetune::finetune;
+use pnc::train::observer::NoopObserver;
 use pnc::train::trainer::{DataRefs, TrainConfig};
 
 const BATTERY_BUDGET_W: f64 = 0.5e-3;
@@ -50,7 +51,7 @@ fn train_with(
         patience: 50,
         ..TrainConfig::default()
     };
-    train_auglag(
+    train_auglag_observed(
         &mut net,
         &data,
         &AugLagConfig {
@@ -61,6 +62,7 @@ fn train_with(
             warm_start: true,
             rescue: true,
         },
+        &mut NoopObserver,
     )
     .expect("constrained training");
     finetune(&mut net, &data, BATTERY_BUDGET_W, &cfg).expect("fine-tuning");

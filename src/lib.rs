@@ -30,3 +30,9 @@ pub use pnc_spice as spice;
 pub use pnc_surrogate as surrogate;
 pub use pnc_telemetry as telemetry;
 pub use pnc_train as train;
+
+/// Compiles the Rust examples in `README.md` as doctests, so the
+/// README's API walkthrough cannot drift from the code.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -8,8 +8,9 @@ use pnc::datasets::{Dataset, DatasetId};
 use pnc::spice::AfKind;
 use pnc::surrogate::NegationModel;
 use pnc::telemetry::Telemetry;
-use pnc::train::auglag::{hard_power, train_auglag, AugLagConfig};
+use pnc::train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use pnc::train::finetune::finetune;
+use pnc::train::observer::NoopObserver;
 use pnc::train::trainer::{fit_cross_entropy, DataRefs, TrainConfig};
 use std::sync::OnceLock;
 
@@ -54,7 +55,13 @@ fn constrained_training_is_feasible_and_learns() {
 
     let budget = 0.4 * p_max;
     let mut net = make_net(4, 3, 5);
-    let report = train_auglag(&mut net, &data, &AugLagConfig::smoke(budget)).unwrap();
+    let report = train_auglag_observed(
+        &mut net,
+        &data,
+        &AugLagConfig::smoke(budget),
+        &mut NoopObserver,
+    )
+    .unwrap();
 
     assert!(report.feasible, "must satisfy the budget: {report:?}");
     assert!(hard_power(&net, data.x_train).unwrap() <= budget * 1.0001);
@@ -73,7 +80,13 @@ fn finetune_preserves_feasibility_end_to_end() {
     let budget = 0.5 * hard_power(&reference, data.x_train).unwrap();
 
     let mut net = make_net(7, 3, 6);
-    train_auglag(&mut net, &data, &AugLagConfig::smoke(budget)).unwrap();
+    train_auglag_observed(
+        &mut net,
+        &data,
+        &AugLagConfig::smoke(budget),
+        &mut NoopObserver,
+    )
+    .unwrap();
     let ft = finetune(&mut net, &data, budget, &TrainConfig::smoke()).unwrap();
     assert!(ft.feasible, "{ft:?}");
     assert!(hard_power(&net, data.x_train).unwrap() <= budget * 1.0001);
@@ -86,7 +99,13 @@ fn pipeline_is_deterministic() {
         let split = ds.split(3);
         let data = DataRefs::from_split(&split);
         let mut net = make_net(4, 3, 7);
-        let report = train_auglag(&mut net, &data, &AugLagConfig::smoke(5e-5)).unwrap();
+        let report = train_auglag_observed(
+            &mut net,
+            &data,
+            &AugLagConfig::smoke(5e-5),
+            &mut NoopObserver,
+        )
+        .unwrap();
         (
             report.power_watts,
             report.val_accuracy,
@@ -113,7 +132,13 @@ fn tighter_budgets_never_raise_power() {
     let mut powers = Vec::new();
     for frac in [0.2, 0.8] {
         let mut net = make_net(4, 3, 8);
-        let report = train_auglag(&mut net, &data, &AugLagConfig::smoke(frac * p_max)).unwrap();
+        let report = train_auglag_observed(
+            &mut net,
+            &data,
+            &AugLagConfig::smoke(frac * p_max),
+            &mut NoopObserver,
+        )
+        .unwrap();
         assert!(report.feasible, "frac {frac}: {report:?}");
         powers.push(report.power_watts);
     }
@@ -146,7 +171,7 @@ fn all_four_activation_kinds_train_feasibly() {
             },
             ..AugLagConfig::smoke(0.6 * p0)
         };
-        let report = train_auglag(&mut net, &data, &cfg).unwrap();
+        let report = train_auglag_observed(&mut net, &data, &cfg, &mut NoopObserver).unwrap();
         assert!(
             report.feasible,
             "{} failed to satisfy its budget: {report:?}",
