@@ -239,11 +239,6 @@ impl Tape {
         self.push(value, Op::Constant)
     }
 
-    /// Registers a `1 × 1` constant scalar.
-    pub fn scalar_constant(&mut self, value: f64) -> Var {
-        self.constant(Matrix::filled(1, 1, value))
-    }
-
     // ------------------------------------------------------------------
     // Binary element-wise
     // ------------------------------------------------------------------

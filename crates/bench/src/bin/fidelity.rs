@@ -15,15 +15,13 @@
 //! cargo run --release -p pnc-bench --bin fidelity -- --scale ci --out BENCH_6.json
 //! ```
 
-use pnc_bench::harness::{cap_for, fit_bundle, parallel_over_datasets, AfBundle, CappedData};
+use pnc_bench::harness::{cap_for, fit_bundle, parallel_over_datasets, reference_stage, AfBundle};
 use pnc_bench::report::{write_csv, TableWriter};
 use pnc_bench::Scale;
 use pnc_datasets::DatasetId;
 use pnc_spice::AfKind;
-use pnc_train::auglag::{train_auglag_observed, AugLagConfig};
-use pnc_train::experiment::{build_network, unconstrained_reference, PreparedData};
+use pnc_train::experiment::train_constrained;
 use pnc_train::fidelity::{fidelity_sample, FidelitySample};
-use pnc_train::finetune::finetune;
 use pnc_train::observer::NoopObserver;
 
 /// Budget fraction the audit trains at: the middle of the paper's
@@ -43,35 +41,20 @@ fn audit_dataset(
     cap: usize,
     seed: u64,
 ) -> Result<Row, String> {
-    let prep = PreparedData::new(id, seed);
-    let data = CappedData::new(&prep, cap);
-    let (_, p_max) = unconstrained_reference(
+    let (data, p_max) = reference_stage(id, bundle, seed, fidelity, cap)
+        .map_err(|e| format!("{}: reference: {e}", id.name()))?;
+    let budget = BUDGET_FRAC * p_max;
+    let net = train_constrained(
         id,
         &bundle.activation,
         &bundle.negation,
         &data.refs(),
-        &fidelity.train,
+        budget,
+        fidelity,
         seed,
-    )
-    .map_err(|e| format!("{}: reference: {e}", id.name()))?;
-    let budget = BUDGET_FRAC * p_max;
-    let mut net = build_network(id, &bundle.activation, &bundle.negation, seed);
-    train_auglag_observed(
-        &mut net,
-        &data.refs(),
-        &AugLagConfig {
-            budget_watts: budget,
-            mu: fidelity.mu,
-            outer_iters: fidelity.auglag_outer,
-            inner: fidelity.train.with_seed(seed),
-            warm_start: true,
-            rescue: true,
-        },
         &mut NoopObserver,
     )
     .map_err(|e| format!("{}: train: {e}", id.name()))?;
-    finetune(&mut net, &data.refs(), budget, &fidelity.train)
-        .map_err(|e| format!("{}: finetune: {e}", id.name()))?;
     let sample = fidelity_sample(&net, fidelity.surrogate.transfer_grid)
         .map_err(|e| format!("{}: fidelity: {e}", id.name()))?;
     Ok(Row {

@@ -16,21 +16,24 @@
 //! cargo run --release -p pnc-bench --bin latency -- --scale ci
 //! ```
 
-use pnc_bench::harness::{cap_for, fit_bundle, CappedData};
+use pnc_bench::harness::{cap_for, fit_bundle, reference_stage};
 use pnc_bench::report::{write_csv, TableWriter};
 use pnc_bench::Scale;
 use pnc_core::export::export_network;
 use pnc_datasets::DatasetId;
 use pnc_spice::transient::{add_node_parasitics, step_response};
 use pnc_spice::AfKind;
-use pnc_train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
-use pnc_train::experiment::{unconstrained_reference, PreparedData};
-use pnc_train::finetune::finetune;
+use pnc_train::auglag::hard_power;
+use pnc_train::experiment::train_constrained;
 use pnc_train::observer::NoopObserver;
 
 /// Lumped parasitic capacitance per circuit node (printed interconnect
 /// + EGT gate capacitance are in the nF range).
 const NODE_PARASITIC_F: f64 = 1.0e-9;
+
+/// Band around its final value an output must stay within to count as
+/// settled.
+const SETTLE_TOL_V: f64 = 0.005;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     pnc_bench::harness::configure_threads_from_args();
@@ -60,36 +63,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for &id in &datasets {
         eprintln!("[latency] {} …", id.name());
-        let prep = PreparedData::new(id, 1);
-        let data = CappedData::new(&prep, cap);
+        let (data, p_max) = reference_stage(id, &bundle, 1, &fidelity, cap)?;
         let refs = data.refs();
-        let (_, p_max) = unconstrained_reference(
-            id,
-            &bundle.activation,
-            &bundle.negation,
-            &refs,
-            &fidelity.train,
-            1,
-        )?;
 
         for &frac in &[0.2f64, 0.8] {
-            let mut net =
-                pnc_train::experiment::build_network(id, &bundle.activation, &bundle.negation, 1);
-            let budget = frac * p_max;
-            train_auglag_observed(
-                &mut net,
+            let net = train_constrained(
+                id,
+                &bundle.activation,
+                &bundle.negation,
                 &refs,
-                &AugLagConfig {
-                    budget_watts: budget,
-                    mu: fidelity.mu,
-                    outer_iters: fidelity.auglag_outer,
-                    inner: fidelity.train.with_seed(1),
-                    warm_start: true,
-                    rescue: true,
-                },
+                frac * p_max,
+                &fidelity,
+                1,
                 &mut NoopObserver,
             )?;
-            finetune(&mut net, &refs, budget, &fidelity.train)?;
             let power = hard_power(&net, refs.x_train)?;
 
             let exported = export_network(&net)?;
@@ -108,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     let mut worst: f64 = 0.0;
                     let mut settled_all = true;
                     for &out in exported.output_nodes() {
-                        match result.settling_time(out, 0.005) {
+                        match result.settling_time(out, SETTLE_TOL_V) {
                             Some(t) => worst = worst.max(t),
                             None => settled_all = false,
                         }
@@ -118,6 +105,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                             "  {} at {:.0}%: outputs did not settle within {tstop:.0e} s",
                             id.name(),
                             frac * 100.0
+                        );
+                        continue;
+                    }
+                    // Every output settled at the first time point: the
+                    // step moved none of them out of the band, so there
+                    // is no settling time to measure.
+                    if worst <= result.times[0] {
+                        println!(
+                            "  {} at {:.0}%: stepping input 0 moves no output beyond \
+                             the {:.0} mV band; nothing to time",
+                            id.name(),
+                            frac * 100.0,
+                            SETTLE_TOL_V * 1e3
                         );
                         continue;
                     }

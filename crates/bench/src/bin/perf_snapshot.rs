@@ -14,7 +14,7 @@
 //! ```
 
 use pnc_bench::harness::{
-    cap_for, configure_threads_from_args, fit_bundle_traced, isolate_solver_stats, CappedData,
+    cap_for, configure_threads_from_args, fit_bundle_traced, isolate_solver_stats, reference_stage,
 };
 use pnc_bench::snapshot::{
     comparable_thread_counts, compare_with, CompareConfig, DatasetPerf, PerfSnapshot, SolverRollup,
@@ -22,9 +22,7 @@ use pnc_bench::snapshot::{
 use pnc_bench::Scale;
 use pnc_spice::AfKind;
 use pnc_telemetry::{Profiler, Stopwatch, Telemetry};
-use pnc_train::auglag::{train_auglag_observed, AugLagConfig};
-use pnc_train::experiment::{build_network, unconstrained_reference, PreparedData};
-use pnc_train::finetune::finetune;
+use pnc_train::experiment::train_constrained;
 use pnc_train::observer::TelemetryObserver;
 use std::process::ExitCode;
 
@@ -182,40 +180,23 @@ fn run_snapshot(
         let tel = Telemetry::disabled().with_profiler(Profiler::enabled());
         let started = Stopwatch::start();
         let (result, stats, iters) =
-            isolate_solver_stats(|| -> Result<(), pnc_train::TrainError> {
-                let prep = PreparedData::new(id, 1);
-                let data = CappedData::new(&prep, cap);
-                let refs = data.refs();
-                let (_, p_max) = {
+            isolate_solver_stats(|| -> Result<(), Box<dyn std::error::Error>> {
+                let (data, p_max) = {
                     let _scope = tel.profiler().scope("reference");
-                    unconstrained_reference(
-                        id,
-                        &bundle.activation,
-                        &bundle.negation,
-                        &refs,
-                        &fidelity.train,
-                        1,
-                    )?
+                    reference_stage(id, &bundle, 1, &fidelity, cap)?
                 };
-                let mut net = build_network(id, &bundle.activation, &bundle.negation, 1);
-                let budget = SNAPSHOT_BUDGET_FRAC * p_max;
                 let mut observer = TelemetryObserver::new(tel.clone());
-                train_auglag_observed(
-                    &mut net,
-                    &refs,
-                    &AugLagConfig {
-                        budget_watts: budget,
-                        mu: fidelity.mu,
-                        outer_iters: fidelity.auglag_outer,
-                        inner: fidelity.train.with_seed(1),
-                        warm_start: true,
-                        rescue: true,
-                    },
+                train_constrained(
+                    id,
+                    &bundle.activation,
+                    &bundle.negation,
+                    &data.refs(),
+                    SNAPSHOT_BUDGET_FRAC * p_max,
+                    &fidelity,
+                    1,
                     &mut observer,
                 )?;
                 observer.finish();
-                let _scope = tel.profiler().scope("finetune");
-                finetune(&mut net, &refs, budget, &fidelity.train)?;
                 Ok(())
             });
         result?;

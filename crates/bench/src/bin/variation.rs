@@ -12,15 +12,13 @@
 //! cargo run --release -p pnc-bench --bin variation -- --scale ci
 //! ```
 
-use pnc_bench::harness::{cap_for, fit_bundle, CappedData};
+use pnc_bench::harness::{cap_for, fit_bundle, reference_stage};
 use pnc_bench::report::{write_csv, TableWriter};
 use pnc_bench::Scale;
 use pnc_core::export::export_network;
 use pnc_datasets::DatasetId;
 use pnc_spice::{AfKind, VariationModel};
-use pnc_train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
-use pnc_train::experiment::{unconstrained_reference, PreparedData};
-use pnc_train::finetune::finetune;
+use pnc_train::experiment::train_constrained;
 use pnc_train::observer::NoopObserver;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -79,38 +77,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for &id in &datasets {
         eprintln!("[variation] {} …", id.name());
-        let prep = PreparedData::new(id, 1);
-        let data = CappedData::new(&prep, cap);
-        let refs = data.refs();
-        let (_, p_max) = unconstrained_reference(
-            id,
-            &bundle.activation,
-            &bundle.negation,
-            &refs,
-            &fidelity.train,
-            1,
-        )?;
+        let (data, p_max) = reference_stage(id, &bundle, 1, &fidelity, cap)?;
 
         for &frac in &[0.3f64, 1.0] {
-            let mut net =
-                pnc_train::experiment::build_network(id, &bundle.activation, &bundle.negation, 1);
-            let budget = frac * p_max;
-            train_auglag_observed(
-                &mut net,
-                &refs,
-                &AugLagConfig {
-                    budget_watts: budget,
-                    mu: fidelity.mu,
-                    outer_iters: fidelity.auglag_outer,
-                    inner: fidelity.train.with_seed(1),
-                    warm_start: true,
-                    rescue: true,
-                },
+            let net = train_constrained(
+                id,
+                &bundle.activation,
+                &bundle.negation,
+                &data.refs(),
+                frac * p_max,
+                &fidelity,
+                1,
                 &mut NoopObserver,
             )?;
-            finetune(&mut net, &refs, budget, &fidelity.train)?;
-            hard_power(&net, refs.x_train)?;
-
             let exported = export_network(&net)?;
             // Evaluate on a capped slice of the test set (full-circuit
             // DC per sample per print).

@@ -202,8 +202,35 @@ pub fn run_dataset(
     })
 }
 
-/// Per-seed shared stage of every dataset sweep: the prepared split,
-/// the row cap, and the unconstrained reference power. Seeds are
+/// The per-seed reference stage every experiment starts from (paper
+/// Sec. IV-A1): the seed's split of `id`, capped to `cap` training
+/// rows, and the unconstrained reference's maximum power `P_max` that
+/// budget fractions scale.
+///
+/// # Errors
+///
+/// Returns [`BenchError::Train`] when the reference run fails.
+pub fn reference_stage(
+    id: DatasetId,
+    bundle: &AfBundle,
+    seed: u64,
+    fidelity: &ExperimentFidelity,
+    cap: usize,
+) -> Result<(CappedData, f64), BenchError> {
+    let prep = PreparedData::new(id, seed);
+    let data = CappedData::new(&prep, cap);
+    let (_, p_max) = unconstrained_reference(
+        id,
+        &bundle.activation,
+        &bundle.negation,
+        &data.refs(),
+        &fidelity.train,
+        seed,
+    )?;
+    Ok((data, p_max))
+}
+
+/// [`reference_stage`] for every seed of a dataset sweep. Seeds are
 /// independent, so this fans out over the executor; results come back
 /// in seed order.
 fn prepare_seed_stages(
@@ -214,16 +241,7 @@ fn prepare_seed_stages(
     cap: usize,
 ) -> Result<Vec<(u64, CappedData, f64)>, BenchError> {
     ExecutorHandle::get().par_try_map(seeds, |_, &seed| {
-        let prep = PreparedData::new(id, seed);
-        let data = CappedData::new(&prep, cap);
-        let (_, p_max) = unconstrained_reference(
-            id,
-            &bundle.activation,
-            &bundle.negation,
-            &data.refs(),
-            &fidelity.train,
-            seed,
-        )?;
+        let (data, p_max) = reference_stage(id, bundle, seed, fidelity, cap)?;
         Ok::<_, BenchError>((seed, data, p_max))
     })
 }

@@ -108,11 +108,6 @@ pub fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Formats a float with 3 decimals for tables.
-pub fn f3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -205,13 +205,6 @@ impl LearnableActivation {
     pub fn power_value(&self, rho: &Matrix) -> f64 {
         self.power.predict(&self.q_from_rho(rho))
     }
-
-    /// Printed-device count of one activation circuit of this kind
-    /// (transistors + resistors, per the Fig. 3 schematics as built in
-    /// `pnc-spice`).
-    pub fn devices_per_circuit(&self) -> usize {
-        devices_per_af(self.kind)
-    }
 }
 
 /// Printed-device count per activation circuit.

@@ -24,13 +24,13 @@ use crate::count::CountConfig;
 use crate::crossbar::G_MAX;
 use crate::network::PrintedNetwork;
 use crate::CoreError;
-use pnc_linalg::Matrix;
+use pnc_linalg::{argmax, Matrix};
 use pnc_spice::af::{attach_negation, VDD, VSS};
 use pnc_spice::dc::{solve_dc_with, SolverConfig};
 use pnc_spice::netlist::{Circuit, Element};
 use pnc_spice::power::total_power;
 use pnc_spice::variation::VariationModel;
-use pnc_spice::{NodeId, SpiceError};
+use pnc_spice::{NodeId, OperatingPoint, SpiceError};
 use pnc_telemetry::Telemetry;
 
 /// A lowered, printable circuit with handles for simulation.
@@ -85,22 +85,8 @@ impl ExportedNetwork {
     /// Panics when `features.len()` differs from the network input
     /// count.
     pub fn simulate(&self, features: &[f64]) -> Result<Vec<f64>, SpiceError> {
-        assert_eq!(
-            features.len(),
-            self.input_sources.len(),
-            "simulate: expected {} features",
-            self.input_sources.len()
-        );
-        let mut c = self.circuit.clone();
-        for (&src, &v) in self.input_sources.iter().zip(features) {
-            c.set_vsource(src, v)?;
-        }
-        let cfg = SolverConfig {
-            max_iterations: 300,
-            ..SolverConfig::default()
-        };
-        let op = solve_dc_with(&c, &cfg, None, &Telemetry::disabled())?;
-        Ok(self.output_nodes.iter().map(|&n| op.voltage(n)).collect())
+        let op = self.solve_row(&mut self.circuit.clone(), features)?;
+        Ok(self.output_voltages(&op))
     }
 
     /// Batch inference: argmax class per row of `x`.
@@ -108,40 +94,48 @@ impl ExportedNetwork {
     /// # Errors
     ///
     /// Propagates the first DC failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.cols()` differs from the network input count.
     pub fn classify(&self, x: &Matrix) -> Result<Vec<usize>, SpiceError> {
-        let mut out = Vec::with_capacity(x.rows());
-        for i in 0..x.rows() {
-            let v = self.simulate(x.row_slice(i))?;
-            let mut best = 0usize;
-            for (k, &val) in v.iter().enumerate() {
-                if val > v[best] {
-                    best = k;
-                }
-            }
-            out.push(best);
-        }
-        Ok(out)
+        let mut circuit = self.circuit.clone();
+        (0..x.rows())
+            .map(|i| {
+                let op = self.solve_row(&mut circuit, x.row_slice(i))?;
+                Ok(argmax(&self.output_voltages(&op)))
+            })
+            .collect()
     }
 
-    /// Runs inference inside an explicit circuit (used by the Monte
-    /// Carlo variation analysis, where the circuit is a perturbed copy
-    /// of [`ExportedNetwork::circuit`]).
-    fn simulate_in(
+    /// The one row solve: drives `circuit`'s input sources with
+    /// `features` and solves its DC point. `circuit` is this network's
+    /// circuit or a perturbed print of it; every row overwrites every
+    /// input source, so one copy serves any number of rows.
+    fn solve_row(
         &self,
-        circuit: &Circuit,
+        circuit: &mut Circuit,
         features: &[f64],
-    ) -> Result<(Vec<f64>, f64), SpiceError> {
-        let mut c = circuit.clone();
+    ) -> Result<OperatingPoint, SpiceError> {
+        assert_eq!(
+            features.len(),
+            self.input_sources.len(),
+            "expected {} features",
+            self.input_sources.len()
+        );
         for (&src, &v) in self.input_sources.iter().zip(features) {
-            c.set_vsource(src, v)?;
+            circuit.set_vsource(src, v)?;
         }
         let cfg = SolverConfig {
             max_iterations: 300,
             ..SolverConfig::default()
         };
-        let op = solve_dc_with(&c, &cfg, None, &Telemetry::disabled())?;
-        let outs = self.output_nodes.iter().map(|&n| op.voltage(n)).collect();
-        Ok((outs, total_power(&c, &op)))
+        solve_dc_with(circuit, &cfg, None, &Telemetry::disabled())
+    }
+
+    /// Output-node voltages of a solved row, one per class.
+    fn output_voltages(&self, op: &OperatingPoint) -> Vec<f64> {
+        self.output_nodes.iter().map(|&n| op.voltage(n)).collect()
     }
 
     /// Monte Carlo robustness under printing variation: fabricates
@@ -160,7 +154,8 @@ impl ExportedNetwork {
     ///
     /// # Panics
     ///
-    /// Panics when `labels.len() != x.rows()`.
+    /// Panics when `labels.len() != x.rows()`, or when `x.cols()`
+    /// differs from the network input count.
     pub fn monte_carlo(
         &self,
         x: &Matrix,
@@ -174,23 +169,15 @@ impl ExportedNetwork {
         let per_print: Vec<(f64, f64)> =
             pnc_parallel::ExecutorHandle::get().par_map(&trials, |_, &p| {
                 let mut rng = pnc_linalg::rng::seeded(pnc_parallel::derive_seed(seed, p as u64));
-                let varied = variation.sample(&self.circuit, &mut rng);
+                let mut varied = variation.sample(&self.circuit, &mut rng);
                 let mut correct = 0usize;
                 let mut power_acc = 0.0;
                 for (i, &label) in labels.iter().enumerate() {
-                    match self.simulate_in(&varied, x.row_slice(i)) {
-                        Ok((outs, pw)) => {
-                            let mut best = 0usize;
-                            for (k, &v) in outs.iter().enumerate() {
-                                if v > outs[best] {
-                                    best = k;
-                                }
-                            }
-                            correct += usize::from(best == label);
-                            power_acc += pw;
-                        }
-                        Err(_) => return (f64::NAN, f64::NAN),
-                    }
+                    let Ok(op) = self.solve_row(&mut varied, x.row_slice(i)) else {
+                        return (f64::NAN, f64::NAN);
+                    };
+                    correct += usize::from(argmax(&self.output_voltages(&op)) == label);
+                    power_acc += total_power(&varied, &op);
                 }
                 (
                     correct as f64 / x.rows() as f64,

@@ -52,5 +52,5 @@ pub mod sparse;
 pub mod stats;
 
 pub use error::LinalgError;
-pub use matrix::Matrix;
+pub use matrix::{argmax, Matrix};
 pub use qmc::SobolSequence;

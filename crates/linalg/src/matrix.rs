@@ -32,6 +32,19 @@ fn par_executor() -> Executor {
     ExecutorHandle::get()
 }
 
+/// Index of the largest value; the first one wins ties, and an empty
+/// slice gives 0. The hardware argmax that turns output voltages (or
+/// logits) into a class.
+pub fn argmax(values: &[f64]) -> usize {
+    let mut best = 0usize;
+    for (j, &v) in values.iter().enumerate() {
+        if v > values[best] {
+            best = j;
+        }
+    }
+    best
+}
+
 /// A dense, row-major matrix of `f64` values.
 ///
 /// # Examples
@@ -260,11 +273,6 @@ impl Matrix {
         (0..self.rows)
             .map(|i| self.data[i * self.cols + j])
             .collect()
-    }
-
-    /// Iterates over rows as slices.
-    pub fn row_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     // ------------------------------------------------------------------
@@ -572,20 +580,9 @@ impl Matrix {
         out
     }
 
-    /// Index of the maximum element in each row.
+    /// [`argmax`] of each row: the first maximum wins ties.
     pub fn row_argmax(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|i| {
-                let r = self.row_slice(i);
-                let mut best = 0usize;
-                for (j, &v) in r.iter().enumerate() {
-                    if v > r[best] {
-                        best = j;
-                    }
-                }
-                best
-            })
-            .collect()
+        (0..self.rows).map(|i| argmax(self.row_slice(i))).collect()
     }
 
     /// Frobenius norm.
@@ -978,6 +975,13 @@ mod tests {
         assert_eq!(m.sum_cols(), Matrix::column(&[3.0, 7.0]));
         assert_eq!(m.row_max(), Matrix::column(&[2.0, 4.0]));
         assert_eq!(m.row_argmax(), vec![1, 1]);
+    }
+
+    #[test]
+    fn argmax_keeps_the_first_of_ties() {
+        assert_eq!(argmax(&[0.5, 2.0, 2.0, -1.0]), 1);
+        assert_eq!(argmax(&[3.0, 3.0]), 0);
+        assert_eq!(argmax(&[]), 0);
     }
 
     #[test]

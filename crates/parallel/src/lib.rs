@@ -51,44 +51,48 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 pub use stats::ExecutorStatsSnapshot;
 
-// Process-wide thread-count override, set once by the CLI / bench bins.
+// Process-wide thread count: set by the CLI / bench bins' `configure`,
+// or resolved on first lookup.
 // lint: allow(L003, reason = "the executor is configured exactly once at process start (CLI --threads); a OnceLock is the mechanism that enforces 'configured once'")
 static CONFIGURED_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Global access to the process-wide executor configuration.
 ///
 /// Binaries call [`ExecutorHandle::configure`] exactly once at startup
-/// (from `--threads N` or the `PNC_THREADS` env var); library code
-/// calls [`ExecutorHandle::get`] to obtain an [`Executor`] wherever a
-/// sweep fans out. Unconfigured processes default to the machine's
-/// available parallelism.
+/// (from `--threads N`); library code calls [`ExecutorHandle::get`] to
+/// obtain an [`Executor`] wherever a sweep fans out. Unconfigured
+/// processes take `PNC_THREADS`, else the machine's available
+/// parallelism.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutorHandle;
 
 impl ExecutorHandle {
     /// Sets the process-wide thread count (clamped to ≥ 1). Returns
-    /// `false` if the executor was already configured — first caller
-    /// wins, later calls are ignored.
+    /// `false` if the count is already fixed — by an earlier `configure`
+    /// or by a first [`ExecutorHandle::threads`] lookup — in which case
+    /// this call is ignored.
     pub fn configure(threads: usize) -> bool {
         CONFIGURED_THREADS.set(threads.max(1)).is_ok()
     }
 
-    /// The resolved process-wide thread count: the configured value if
-    /// [`ExecutorHandle::configure`] ran, else `PNC_THREADS` from the
-    /// environment, else [`std::thread::available_parallelism`].
+    /// The process-wide thread count: the configured value if
+    /// [`ExecutorHandle::configure`] ran first, else `PNC_THREADS` from
+    /// the environment, else [`std::thread::available_parallelism`].
+    ///
+    /// The first lookup fixes the value for the life of the process:
+    /// later lookups read it back without touching the environment or
+    /// the cgroup files `available_parallelism` consults, and a later
+    /// `configure` is ignored.
     pub fn threads() -> usize {
-        if let Some(&t) = CONFIGURED_THREADS.get() {
-            return t;
-        }
-        if let Some(t) = std::env::var("PNC_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            if t >= 1 {
-                return t;
-            }
-        }
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        *CONFIGURED_THREADS.get_or_init(|| {
+            std::env::var("PNC_THREADS")
+                .ok()
+                .and_then(|s| s.parse::<usize>().ok())
+                .filter(|&t| t >= 1)
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+                })
+        })
     }
 
     /// An executor using the process-wide thread count.
@@ -409,6 +413,10 @@ mod tests {
         }
         assert!(!second || !first, "only the first configure may win");
         assert!(ExecutorHandle::get().threads() >= 1);
+        // Once looked up, the count is fixed: configure cannot move it.
+        let fixed = ExecutorHandle::threads();
+        assert!(!ExecutorHandle::configure(fixed + 1));
+        assert_eq!(ExecutorHandle::threads(), fixed);
     }
 
     #[test]

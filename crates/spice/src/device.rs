@@ -128,15 +128,6 @@ impl EgtModel {
             gs_siemens: gs,
         }
     }
-
-    /// Saturation current for a gate overdrive `vov = V_G − V_th` with
-    /// the source grounded and the drain far above pinch-off. Handy for
-    /// sizing sanity checks.
-    // lint: allow(L004, reason = "only the W/L ratio enters the model; any consistent length unit works")
-    pub fn saturation_current(&self, vov_volts: f64, w: f64, l: f64) -> f64 {
-        self.eval(self.vth_volts + vov_volts, 10.0, 0.0, w, l)
-            .id_amps
-    }
 }
 
 #[cfg(test)]

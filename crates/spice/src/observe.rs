@@ -168,13 +168,6 @@ pub fn take_traces() -> Vec<SolveTrace> {
     traces
 }
 
-/// Total traces recorded (not just the reservoir survivors) since the
-/// last [`enable`]/[`take_traces`].
-pub fn traces_seen() -> u64 {
-    // lint: allow(L001, reason = "mutex poisoning only follows a recorder panic; nothing to recover")
-    RING.lock().unwrap().seen
-}
-
 /// High-water mark of `cond1_estimate` across all traced solves since
 /// the last [`reset`] — the value the `HealthWatchdog`
 /// ill-conditioning probe latches on.

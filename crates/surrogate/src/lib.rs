@@ -36,7 +36,6 @@ pub mod persist;
 pub mod power_model;
 pub mod sampling;
 pub mod transfer;
-pub mod tuning;
 
 pub use atlas::{AtlasPoint, AtlasRollup, SolverAtlas};
 pub use error::SurrogateError;

@@ -7,7 +7,7 @@
 //! 2. train an *unconstrained* reference to find the dataset's maximum
 //!    power `P_max`,
 //! 3. run the augmented Lagrangian at budgets `{20, 40, 60, 80} % ·
-//!    P_max`, fine-tune under the mask, and
+//!    P_max` and fine-tune under the mask ([`train_constrained`]), and
 //! 4. report test accuracy, hard power and device count —
 //!
 //! plus the penalty-baseline sweep used for the Pareto comparison.
@@ -15,7 +15,7 @@
 use crate::auglag::{hard_power, train_auglag_observed, AugLagConfig};
 use crate::error::TrainError;
 use crate::finetune::finetune;
-use crate::observer::NoopObserver;
+use crate::observer::{NoopObserver, TrainObserver};
 use crate::penalty::{train_penalty_observed, PenaltyConfig};
 use crate::trainer::{fit_cross_entropy, DataRefs, TrainConfig};
 use pnc_core::activation::{LearnableActivation, SurrogateFidelity};
@@ -149,8 +149,48 @@ pub fn unconstrained_reference(
     Ok((net, p_final.max(p_init)))
 }
 
-/// Full single-run pipeline: augmented Lagrangian at
-/// `budget = budget_frac · p_max`, then mask-based fine-tuning.
+/// The paper's constrained training step (Sec. IV-A1): a fresh network
+/// from `seed`, the augmented Lagrangian at `budget_watts`, then
+/// mask-based fine-tuning under the same budget. Returns the trained
+/// network.
+///
+/// `observer` sees the augmented Lagrangian's epochs and outer
+/// iterations; fine-tuning runs inside a `finetune` span opened through
+/// `observer.profiler()` (a no-op for [`NoopObserver`]).
+///
+/// # Errors
+///
+/// Returns [`TrainError::Core`] when data shapes disagree with the
+/// dataset's topology, and [`TrainError::NonFinite`] on numerical
+/// collapse.
+#[allow(clippy::too_many_arguments)]
+pub fn train_constrained(
+    id: DatasetId,
+    activation: &LearnableActivation,
+    negation: &NegationModel,
+    data: &DataRefs<'_>,
+    budget_watts: f64,
+    fidelity: &ExperimentFidelity,
+    seed: u64,
+    observer: &mut dyn TrainObserver,
+) -> Result<PrintedNetwork, TrainError> {
+    let mut net = build_network(id, activation, negation, seed);
+    let cfg = AugLagConfig {
+        budget_watts,
+        mu: fidelity.mu,
+        outer_iters: fidelity.auglag_outer,
+        inner: fidelity.train.with_seed(seed),
+        warm_start: true,
+        rescue: true,
+    };
+    train_auglag_observed(&mut net, data, &cfg, observer)?;
+    let _scope = observer.profiler().scope("finetune");
+    finetune(&mut net, data, budget_watts, &fidelity.train)?;
+    Ok(net)
+}
+
+/// Full single-run pipeline: [`train_constrained`] at
+/// `budget = budget_frac · p_max`, then the run's evaluation summary.
 ///
 /// # Errors
 ///
@@ -171,18 +211,16 @@ pub fn run_constrained(
     seed: u64,
 ) -> Result<RunResult, TrainError> {
     let budget = budget_frac * p_max;
-    let mut net = build_network(id, activation, negation, seed);
-    let cfg = AugLagConfig {
-        budget_watts: budget,
-        mu: fidelity.mu,
-        outer_iters: fidelity.auglag_outer,
-        inner: fidelity.train.with_seed(seed),
-        warm_start: true,
-        rescue: true,
-    };
-    train_auglag_observed(&mut net, data, &cfg, &mut NoopObserver)?;
-    finetune(&mut net, data, budget, &fidelity.train)?;
-
+    let net = train_constrained(
+        id,
+        activation,
+        negation,
+        data,
+        budget,
+        fidelity,
+        seed,
+        &mut NoopObserver,
+    )?;
     let power = hard_power(&net, data.x_train)?;
     Ok(RunResult {
         dataset: id,

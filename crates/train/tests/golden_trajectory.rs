@@ -9,6 +9,8 @@
 //! * One controlled and one paper-faithful penalty-baseline run pin the
 //!   final parameters and the reported power and validation accuracy.
 //! * The unconstrained reference pins `P_max` and its parameters.
+//! * One `run_constrained` run, the reference → augmented Lagrangian →
+//!   fine-tune pipeline the experiments use, pins its result.
 
 use pnc_core::activation::{LearnableActivation, SurrogateFidelity};
 use pnc_core::{NetworkConfig, PrintedNetwork};
@@ -16,7 +18,9 @@ use pnc_datasets::{Dataset, DatasetId};
 use pnc_surrogate::NegationModel;
 use pnc_telemetry::Telemetry;
 use pnc_train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
-use pnc_train::experiment::unconstrained_reference;
+use pnc_train::experiment::{
+    run_constrained, unconstrained_reference, ExperimentFidelity, PreparedData,
+};
 use pnc_train::finetune::finetune;
 use pnc_train::observer::{NoopObserver, RecordingObserver};
 use pnc_train::penalty::{train_penalty_observed, PenaltyConfig};
@@ -39,6 +43,10 @@ const GOLDEN_PENALTY_FAITHFUL: u64 = 0xb46d_9969_bf3c_5102;
 /// FNV-1a digest of the unconstrained reference's `P_max` bits, then
 /// its parameters.
 const GOLDEN_REFERENCE: u64 = 0x26ef_e2dc_4eab_23c4;
+/// FNV-1a digest of a smoke `run_constrained` result on Iris (seed 1,
+/// 60 % of `P_max`): budget, power, test and validation accuracy bits,
+/// then the device count and the feasibility flag.
+const GOLDEN_CONSTRAINED_RUN: u64 = 0x3f54_4020_f1e8_6fcc;
 
 fn fnv1a(mut h: u64, word: u64) -> u64 {
     for b in word.to_le_bytes() {
@@ -172,4 +180,32 @@ fn smoke_unconstrained_reference_reproduces_its_golden_digest() {
             .expect("reference run");
     let got = digest_params(fnv1a(FNV_OFFSET, p_max.to_bits()), &net);
     assert_eq!(got, GOLDEN_REFERENCE, "got {got:#018x}");
+}
+
+#[test]
+fn smoke_constrained_run_reproduces_its_golden_digest() {
+    let (act, neg) = parts();
+    let fid = ExperimentFidelity::smoke();
+    let prep = PreparedData::new(DatasetId::Iris, 1);
+    let data = prep.refs();
+    let (_, p_max) = unconstrained_reference(DatasetId::Iris, act, neg, &data, &fid.train, 1)
+        .expect("reference run");
+    let r = run_constrained(
+        DatasetId::Iris,
+        act,
+        neg,
+        &data,
+        &prep.split.test.x,
+        &prep.split.test.labels,
+        p_max,
+        0.6,
+        &fid,
+        1,
+    )
+    .expect("constrained run");
+    let h = [r.budget_mw, r.power_mw, r.test_accuracy, r.val_accuracy]
+        .iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a(h, v.to_bits()));
+    let got = fnv1a(fnv1a(h, r.devices as u64), u64::from(r.feasible));
+    assert_eq!(got, GOLDEN_CONSTRAINED_RUN, "{r:?}; got {got:#018x}");
 }

@@ -7,71 +7,67 @@
 //! cargo run --release --example netlist_export
 //! ```
 
-use pnc::circuit::activation::{fit_negation_model, LearnableActivation, SurrogateFidelity};
+use pnc::circuit::activation::{fit_negation_model, LearnableActivation};
 use pnc::circuit::export::export_network;
-use pnc::circuit::{NetworkConfig, PrintedNetwork};
-use pnc::datasets::{Dataset, DatasetId};
+use pnc::datasets::DatasetId;
 use pnc::spice::AfKind;
 use pnc::telemetry::Telemetry;
-use pnc::train::auglag::{hard_power, train_auglag_observed, AugLagConfig};
-use pnc::train::finetune::finetune;
+use pnc::train::auglag::hard_power;
+use pnc::train::experiment::{
+    train_constrained, unconstrained_reference, ExperimentFidelity, PreparedData,
+};
 use pnc::train::observer::NoopObserver;
-use pnc::train::trainer::{DataRefs, TrainConfig};
+
+/// Seed of the data split and the network initialization.
+const SEED: u64 = 1;
+
+/// Budget as a fraction of the unconstrained reference's peak power.
+const BUDGET_FRAC: f64 = 0.6;
 
 fn main() {
     println!("train → prune → export → transistor-level cross-validation\n");
 
-    let activation = LearnableActivation::fit(
-        AfKind::PRelu,
-        &SurrogateFidelity::smoke(),
-        &Telemetry::disabled(),
-    )
-    .expect("surrogate fitting");
-    let negation = fit_negation_model(11).expect("negation fitting");
-    let dataset = Dataset::generate(DatasetId::Iris, 8);
-    let split = dataset.split(2);
-    let data = DataRefs::from_split(&split);
+    // The paper's protocol (Sec. IV-A1): an unconstrained reference
+    // fixes P_max, then the constrained step trains at a fraction of it.
+    let fidelity = ExperimentFidelity::smoke();
+    let activation =
+        LearnableActivation::fit(AfKind::PRelu, &fidelity.surrogate, &Telemetry::disabled())
+            .expect("surrogate fitting");
+    let negation = fit_negation_model(fidelity.surrogate.transfer_grid).expect("negation fitting");
+    let prep = PreparedData::new(DatasetId::Iris, SEED);
+    let split = &prep.split;
+    let data = prep.refs();
 
-    let mut rng = pnc::linalg::rng::seeded(5);
-    let mut net = PrintedNetwork::new(
-        4,
-        3,
-        NetworkConfig::default(),
-        activation,
-        negation,
-        &mut rng,
-    )
-    .expect("4-3-3 topology");
-
-    let p0 = hard_power(&net, data.x_train).expect("shapes match");
-    let budget = 0.5 * p0;
-    let cfg = TrainConfig {
-        max_epochs: 250,
-        patience: 50,
-        ..TrainConfig::default()
-    };
-    train_auglag_observed(
-        &mut net,
+    let (_, p_max) = unconstrained_reference(
+        DatasetId::Iris,
+        &activation,
+        &negation,
         &data,
-        &AugLagConfig {
-            budget_watts: budget,
-            mu: 2.0,
-            outer_iters: 4,
-            inner: cfg.with_seed(5),
-            warm_start: true,
-            rescue: true,
-        },
+        &fidelity.train,
+        SEED,
+    )
+    .expect("reference training");
+    let budget = BUDGET_FRAC * p_max;
+    let net = train_constrained(
+        DatasetId::Iris,
+        &activation,
+        &negation,
+        &data,
+        budget,
+        &fidelity,
+        SEED,
         &mut NoopObserver,
     )
     .expect("constrained training");
-    finetune(&mut net, &data, budget, &cfg).expect("fine-tuning");
     println!(
-        "trained: {:.1}% test accuracy at {:.3} mW",
+        "trained: {:.1}% test accuracy at {:.3} mW (budget {:.3} mW = {:.0}% of P_max)",
         100.0
             * net
                 .accuracy(&split.test.x, &split.test.labels)
                 .expect("shapes match"),
-        hard_power(&net, data.x_train).expect("shapes match") * 1e3
+        hard_power(&net, data.x_train).expect("shapes match") * 1e3,
+        budget * 1e3,
+        BUDGET_FRAC * 100.0
     );
 
     // Lower to the printable circuit.
@@ -125,7 +121,7 @@ fn main() {
         100.0 * circuit_acc
     );
     println!(
-        "\n(Differences stem from inter-stage loading, which the differentiable\n\
-         abstraction ignores — the exported netlist is the ground truth.)"
+        "\n(Differences stem from surrogate fit error and from the loading the\n\
+         buffered export keeps — the exported netlist is the ground truth.)"
     );
 }
