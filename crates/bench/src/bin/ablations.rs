@@ -29,7 +29,7 @@ use pnc_train::pareto::{best_under_budget, pareto_front, ParetoPoint};
 use pnc_train::penalty::{train_penalty_observed, PenaltyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    pnc_bench::harness::configure_threads_from_args();
+    pnc_bench::harness::configure_threads_from_args()?;
     let scale = Scale::from_args();
     let fidelity = scale.fidelity();
     let cap = cap_for(scale);

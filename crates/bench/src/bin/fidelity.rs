@@ -92,7 +92,7 @@ fn render_json(scale: Scale, grid_points: usize, rows: &[Row]) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    pnc_bench::harness::configure_threads_from_args();
+    pnc_bench::harness::configure_threads_from_args()?;
     let scale = Scale::from_args();
     let fidelity = scale.fidelity();
     let cap = cap_for(scale);
@@ -139,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     table.print();
     write_csv(
-        "fidelity.csv",
+        "fidelity",
         &[
             "dataset",
             "budget_mw",

@@ -14,7 +14,7 @@ use pnc_spice::af::{input_grid, power_curve, transfer_curve};
 use pnc_spice::{AfDesign, AfKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    pnc_bench::harness::configure_threads_from_args();
+    pnc_bench::harness::configure_threads_from_args()?;
     let scale = Scale::from_args();
     let (designs_per_kind, grid_points) = match scale {
         Scale::Smoke => (2usize, 11usize),

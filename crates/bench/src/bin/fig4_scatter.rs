@@ -18,7 +18,7 @@ use pnc_spice::AfKind;
 use pnc_train::experiment::RunResult;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    pnc_bench::harness::configure_threads_from_args();
+    pnc_bench::harness::configure_threads_from_args()?;
     let scale = Scale::from_args();
     let fidelity = scale.fidelity();
     let datasets = scale.datasets();

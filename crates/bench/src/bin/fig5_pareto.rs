@@ -17,7 +17,7 @@ use pnc_spice::AfKind;
 use pnc_train::pareto::{best_under_budget, pareto_front, ParetoPoint};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    pnc_bench::harness::configure_threads_from_args();
+    pnc_bench::harness::configure_threads_from_args()?;
     let scale = Scale::from_args();
     let fidelity = scale.fidelity();
     let seeds = scale.seeds();

@@ -36,7 +36,7 @@ const NODE_PARASITIC_F: f64 = 1.0e-9;
 const SETTLE_TOL_V: f64 = 0.005;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    pnc_bench::harness::configure_threads_from_args();
+    pnc_bench::harness::configure_threads_from_args()?;
     let scale = Scale::from_args();
     let fidelity = scale.fidelity();
     let cap = cap_for(scale);

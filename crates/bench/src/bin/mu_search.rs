@@ -22,7 +22,7 @@ use pnc_train::observer::NoopObserver;
 use pnc_train::tune::select_mu;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    pnc_bench::harness::configure_threads_from_args();
+    pnc_bench::harness::configure_threads_from_args()?;
     let scale = Scale::from_args();
     let fidelity = scale.fidelity();
     let cap = cap_for(scale);

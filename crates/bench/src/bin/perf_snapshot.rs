@@ -69,7 +69,13 @@ fn main() -> ExitCode {
         };
         return run_compare(old, new, cfg);
     }
-    let threads = configure_threads_from_args();
+    let threads = match configure_threads_from_args() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let scale = Scale::from_args();
     let out = args
         .iter()

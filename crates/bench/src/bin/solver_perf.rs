@@ -49,7 +49,13 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let threads = configure_threads_from_args();
+    let threads = match configure_threads_from_args() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let scale = Scale::from_args();
     let out = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_8.json".to_string());
     let baseline = arg_value(&args, "--baseline").unwrap_or_else(|| "BENCH_7.json".to_string());

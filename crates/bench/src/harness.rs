@@ -304,17 +304,17 @@ pub fn run_dataset_penalty(
 /// flag (same `Scale::from_args` idiom). Call once at the top of
 /// `main`, before any parallel work; returns the effective thread
 /// count for banners and snapshots.
-pub fn configure_threads_from_args() -> usize {
+///
+/// # Errors
+///
+/// The CLI's errors for a `--threads` value it cannot apply (see
+/// [`ExecutorHandle::configure_flag`]), including a missing one.
+pub fn configure_threads_from_args() -> Result<usize, String> {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        ExecutorHandle::configure(n);
+    if let Some(i) = args.iter().position(|a| a == "--threads") {
+        ExecutorHandle::configure_flag(args.get(i + 1).map_or("", String::as_str))?;
     }
-    ExecutorHandle::threads()
+    Ok(ExecutorHandle::threads())
 }
 
 /// Maps `f` over the datasets on the process-wide executor (respects

@@ -477,13 +477,7 @@ fn main() -> ExitCode {
 /// deterministic), only wall clock.
 fn configure_threads(args: &Args) -> Result<(), String> {
     if let Some(n) = args.get("threads") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| format!("--threads: '{n}' is not a thread count"))?;
-        if n == 0 {
-            return Err("--threads must be at least 1".to_string());
-        }
-        ExecutorHandle::configure(n);
+        ExecutorHandle::configure_flag(n)?;
     }
     Ok(())
 }

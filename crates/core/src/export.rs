@@ -30,13 +30,16 @@ use pnc_spice::dc::{solve_dc_with, SolverConfig};
 use pnc_spice::netlist::{Circuit, Element};
 use pnc_spice::power::total_power;
 use pnc_spice::variation::VariationModel;
-use pnc_spice::{NodeId, OperatingPoint, SpiceError};
+use pnc_spice::{BlockPlan, NodeId, OperatingPoint, SpiceError};
 use pnc_telemetry::Telemetry;
 
 /// A lowered, printable circuit with handles for simulation.
 #[derive(Debug, Clone)]
 pub struct ExportedNetwork {
     circuit: Circuit,
+    /// Block solve order of the circuit's topology, which every row
+    /// drive and every perturbed print shares.
+    plan: BlockPlan,
     input_sources: Vec<usize>,
     output_nodes: Vec<NodeId>,
     stats: ExportStats,
@@ -109,9 +112,11 @@ impl ExportedNetwork {
     }
 
     /// The one row solve: drives `circuit`'s input sources with
-    /// `features` and solves its DC point. `circuit` is this network's
-    /// circuit or a perturbed print of it; every row overwrites every
-    /// input source, so one copy serves any number of rows.
+    /// `features` and solves its DC point, started from the block
+    /// plan's guess (cold when the plan has none). `circuit` is this
+    /// network's circuit or a perturbed print of it; every row
+    /// overwrites every input source, so one copy serves any number of
+    /// rows.
     fn solve_row(
         &self,
         circuit: &mut Circuit,
@@ -130,7 +135,8 @@ impl ExportedNetwork {
             max_iterations: 300,
             ..SolverConfig::default()
         };
-        solve_dc_with(circuit, &cfg, None, &Telemetry::disabled())
+        let guess = self.plan.guess(circuit, &cfg);
+        solve_dc_with(circuit, &cfg, guess.as_deref(), &Telemetry::disabled())
     }
 
     /// Output-node voltages of a solved row, one per class.
@@ -473,6 +479,7 @@ pub fn export_network(net: &PrintedNetwork) -> Result<ExportedNetwork, CoreError
     }
 
     Ok(ExportedNetwork {
+        plan: BlockPlan::new(&c),
         circuit: c,
         input_sources,
         output_nodes: lines,
@@ -583,6 +590,35 @@ mod tests {
             rmse < 0.35,
             "exported circuit should track the abstraction: rmse {rmse}"
         );
+    }
+
+    #[test]
+    fn block_started_rows_classify_as_cold_started_ones() {
+        // Seed 45 splits these rows between two classes.
+        let exported = export_network(&net(45)).unwrap();
+        let one_step = SolverConfig {
+            max_iterations: 1,
+            ..SolverConfig::default()
+        };
+        assert!(exported.plan.guess(exported.circuit(), &one_step).is_none());
+
+        let x = lrng::uniform_matrix(&mut lrng::seeded(9), 16, 4, -1.0, 1.0);
+        let cfg = SolverConfig {
+            max_iterations: 300,
+            ..SolverConfig::default()
+        };
+        let mut c = exported.circuit().clone();
+        let cold: Vec<usize> = (0..x.rows())
+            .map(|i| {
+                for (&src, &v) in exported.input_sources.iter().zip(x.row_slice(i)) {
+                    c.set_vsource(src, v).unwrap();
+                }
+                let op = solve_dc_with(&c, &cfg, None, &Telemetry::disabled()).unwrap();
+                argmax(&exported.output_voltages(&op))
+            })
+            .collect();
+        assert!(cold.iter().any(|&k| k != cold[0]), "rows split: {cold:?}");
+        assert_eq!(exported.classify(&x).unwrap(), cold);
     }
 
     #[test]

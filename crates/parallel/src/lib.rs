@@ -75,6 +75,30 @@ impl ExecutorHandle {
         CONFIGURED_THREADS.set(threads.max(1)).is_ok()
     }
 
+    /// Applies the value of a `--threads` flag: the CLI's and the bench
+    /// binaries' one reading of it. Returns the thread count set.
+    ///
+    /// # Errors
+    ///
+    /// A value that is not a whole number, `0`, or a count that could
+    /// not take effect because the process-wide count was already fixed
+    /// (see [`ExecutorHandle::configure`]).
+    pub fn configure_flag(value: &str) -> Result<usize, String> {
+        let n: usize = value
+            .parse()
+            .map_err(|_| format!("--threads: '{value}' is not a thread count"))?;
+        if n == 0 {
+            return Err("--threads must be at least 1".to_string());
+        }
+        if !Self::configure(n) {
+            return Err(format!(
+                "--threads {n}: the thread count was already fixed at {}",
+                Self::threads()
+            ));
+        }
+        Ok(n)
+    }
+
     /// The process-wide thread count: the configured value if
     /// [`ExecutorHandle::configure`] ran first, else `PNC_THREADS` from
     /// the environment, else [`std::thread::available_parallelism`].
@@ -416,6 +440,18 @@ mod tests {
         // Once looked up, the count is fixed: configure cannot move it.
         let fixed = ExecutorHandle::threads();
         assert!(!ExecutorHandle::configure(fixed + 1));
+        assert_eq!(ExecutorHandle::threads(), fixed);
+    }
+
+    #[test]
+    fn configure_flag_rejects_what_it_cannot_apply() {
+        for bad in ["", "two", "-1", "0"] {
+            assert!(ExecutorHandle::configure_flag(bad).is_err(), "{bad:?}");
+        }
+        // A count fixed by a first lookup cannot be moved by the flag.
+        let fixed = ExecutorHandle::threads();
+        let err = ExecutorHandle::configure_flag(&(fixed + 1).to_string()).unwrap_err();
+        assert!(err.contains("already fixed"), "{err}");
         assert_eq!(ExecutorHandle::threads(), fixed);
     }
 

@@ -116,7 +116,7 @@ impl OperatingPoint {
 /// (a fresh pivot order only on pivot drift). Numeric factor state
 /// lives in the attempt's frame — nothing per-solve is shared across
 /// threads.
-enum Linear<'p> {
+pub(crate) enum Linear<'p> {
     Dense {
         jacobian: Matrix,
         lu: Option<Lu>,
@@ -129,7 +129,8 @@ enum Linear<'p> {
 }
 
 impl<'p> Linear<'p> {
-    fn new(pat: Option<&'p CircuitPattern>) -> Self {
+    /// Sparse over `pat` when given, dense otherwise.
+    pub(crate) fn new(pat: Option<&'p CircuitPattern>) -> Self {
         match pat {
             Some(pat) => Linear::Sparse {
                 pat,
@@ -153,6 +154,26 @@ impl<'p> Linear<'p> {
                 *f = sys.residual;
             }
             Linear::Sparse { pat, values, .. } => pat.stamp(circuit, x, values, f),
+        }
+    }
+
+    /// A zeroed `k × k` dense Jacobian for [`Self::solve`] to factor,
+    /// assembled by the caller; reuses the previous one's storage.
+    pub(crate) fn dense_jacobian(&mut self, k: usize) -> &mut Matrix {
+        match self {
+            Linear::Dense { jacobian, .. } if jacobian.shape() == (k, k) => {
+                jacobian.as_mut_slice().fill(0.0);
+            }
+            _ => {
+                *self = Linear::Dense {
+                    jacobian: Matrix::zeros(k, k),
+                    lu: None,
+                }
+            }
+        }
+        match self {
+            Linear::Dense { jacobian, .. } => jacobian,
+            Linear::Sparse { .. } => unreachable!("just made dense"),
         }
     }
 
@@ -213,22 +234,44 @@ impl<'p> Linear<'p> {
     }
 }
 
-/// One damped Newton descent, on sparse LU when `pat` is given and
-/// dense LU otherwise. Returns `(iterations, residual)` on convergence;
-/// the residual is the KCL norm that passed the test.
-fn newton_attempt(
-    circuit: &Circuit,
-    pat: Option<&CircuitPattern>,
+/// The square system one damped Newton descent drives to zero: a whole
+/// circuit, or one block of it ([`crate::block::BlockPlan`]). Residual
+/// rows lead with KCL rows (amperes) and unknowns with node voltages.
+pub(crate) trait Equations {
+    /// `(kcl_rows, voltages)`: the descent tests the residual of the
+    /// first `kcl_rows` equations and damps the first `voltages` steps.
+    fn heads(&self) -> (usize, usize);
+
+    /// Assembles at `x`: the Jacobian into `lin`, the residual into `f`.
+    fn assemble(&mut self, x: &[f64], lin: &mut Linear<'_>, f: &mut Vec<f64>);
+}
+
+impl Equations for &Circuit {
+    fn heads(&self) -> (usize, usize) {
+        let n_nodes = self.node_count() - 1;
+        (n_nodes, n_nodes)
+    }
+
+    fn assemble(&mut self, x: &[f64], lin: &mut Linear<'_>, f: &mut Vec<f64>) {
+        lin.assemble(self, x, f);
+    }
+}
+
+/// One damped Newton descent of `eqs` on the linear algebra `lin`.
+/// Returns `(iterations, residual)` on convergence; the residual is the
+/// KCL norm that passed the test.
+pub(crate) fn newton_attempt(
+    mut eqs: impl Equations,
+    mut lin: Linear<'_>,
     x: &mut [f64],
     cfg: &SolverConfig,
     mut cap: Option<&mut observe::AttemptCapture>,
 ) -> Result<(usize, f64), SpiceError> {
-    let n_nodes = circuit.node_count() - 1;
-    let node_resid = |f: &[f64]| f.iter().take(n_nodes).fold(0.0f64, |m, r| m.max(r.abs()));
-    let mut lin = Linear::new(pat);
+    let (kcl_rows, voltages) = eqs.heads();
+    let node_resid = |f: &[f64]| f.iter().take(kcl_rows).fold(0.0f64, |m, r| m.max(r.abs()));
     let mut f = vec![0.0; x.len()];
     for iter in 0..cfg.max_iterations {
-        lin.assemble(circuit, x, &mut f);
+        eqs.assemble(x, &mut lin, &mut f);
         let max_resid = node_resid(&f);
         // Converged on arrival: every equation — including the linear
         // source rows, which a warm start from a different sweep point
@@ -243,7 +286,7 @@ fn newton_attempt(
         let dx = lin.solve(&neg_f)?;
 
         // Damping: limit voltage updates; currents move freely.
-        let max_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+        let max_dv = dx[..voltages].iter().fold(0.0f64, |m, d| m.max(d.abs()));
         let scale = if max_dv > cfg.max_step_volts {
             cfg.max_step_volts / max_dv
         } else {
@@ -266,7 +309,7 @@ fn newton_attempt(
             return Ok((iter + 1, max_resid));
         }
     }
-    lin.assemble(circuit, x, &mut f);
+    eqs.assemble(x, &mut lin, &mut f);
     Err(SpiceError::NonConvergence {
         iterations: cfg.max_iterations,
         residual: node_resid(&f),
@@ -433,7 +476,7 @@ fn solve_dc_inner(
 
     // Attempt 1: plain Newton from the guess.
     let mut total_iters = 0usize;
-    match newton_attempt(circuit, pat, &mut x, cfg, cap.as_deref_mut()) {
+    match newton_attempt(circuit, Linear::new(pat), &mut x, cfg, cap.as_deref_mut()) {
         Ok((iters, residual)) => {
             return Ok((
                 OperatingPoint {
@@ -478,7 +521,7 @@ fn solve_dc_inner(
         }
         // The ramped clone only rescales source values, so it shares
         // the original topology — and therefore the same pattern.
-        match newton_attempt(&ramped, pat, &mut x, cfg, cap.as_deref_mut()) {
+        match newton_attempt(&ramped, Linear::new(pat), &mut x, cfg, cap.as_deref_mut()) {
             Ok((iters, residual)) => {
                 total_iters += iters;
                 final_residual = residual;
@@ -669,7 +712,7 @@ pub(crate) fn voltage_of(op: &OperatingPoint, node: usize) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -924,7 +967,7 @@ mod tests {
 
     /// `cells` p-tanh cells on shared ±1 V rails, each driven by its
     /// own input source: 4 + 5·`cells` unknowns, nonlinear throughout.
-    fn tanh_bank(cells: usize) -> Circuit {
+    pub(crate) fn tanh_bank(cells: usize) -> Circuit {
         let kind = crate::AfKind::PTanh;
         let design = kind.default_design();
         let mut c = Circuit::new();

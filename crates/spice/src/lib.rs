@@ -17,7 +17,8 @@
 //!   smooth in the design variables `(W, L)` — the same property that
 //!   motivates the paper's differentiable surrogate models.
 //! * **Newton–Raphson** DC operating-point solving with step damping
-//!   and supply ramping as a fallback ([`dc`]).
+//!   and supply ramping as a fallback ([`dc`]), started for large
+//!   block-triangular circuits from a block-by-block solve ([`block`]).
 //! * **Element-wise power accounting** ([`power`]).
 //! * Netlist builders for the paper's four printed activation circuits
 //!   and the negation (inverter) circuit ([`af`]), each parameterized by
@@ -43,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod af;
+pub mod block;
 pub mod dc;
 pub mod device;
 pub mod error;
@@ -56,6 +58,7 @@ pub mod transient;
 pub mod variation;
 
 pub use af::{AfDesign, AfKind};
+pub use block::BlockPlan;
 pub use dc::{solve_dc, solve_dc_captured, solve_dc_with, OperatingPoint};
 pub use device::EgtModel;
 pub use error::SpiceError;

@@ -83,6 +83,20 @@ pub fn assemble(circuit: &Circuit, x: &[f64]) -> NewtonSystem {
     }
 }
 
+/// Receives residual contributions during assembly. A plain residual
+/// vector accumulates them in place; a block solve keeps only its own
+/// rows, and the block planner records which rows an element touches.
+pub(crate) trait ResidualSink {
+    /// Accumulates `v` into equation `row`.
+    fn add(&mut self, row: usize, v: f64);
+}
+
+impl ResidualSink for [f64] {
+    fn add(&mut self, row: usize, v: f64) {
+        self[row] += v;
+    }
+}
+
 /// Assembly walk shared by every backend: stamps the Jacobian through
 /// `j` and accumulates the residual into `f` (which must be zeroed by
 /// the caller).
@@ -102,132 +116,169 @@ pub(crate) fn assemble_into<S: JacobianSink>(
     assert_eq!(x.len(), n, "assemble: guess length mismatch");
     assert_eq!(f.len(), n, "assemble: residual length mismatch");
 
-    // GMIN from every non-ground node to ground.
     for i in 0..n_nodes {
-        j.add(i, i, GMIN);
-        f[i] += GMIN * x[i];
+        stamp_gmin(i, x, j, f);
     }
+    for (element, branch_row) in stamped_elements(circuit) {
+        stamp_element(element, branch_row, x, j, f);
+    }
+}
 
-    let mut src_idx = 0usize;
-    for element in circuit.elements() {
-        match *element {
-            Element::Resistor { a, b, ohms } => {
-                let g = 1.0 / ohms;
-                let va = node_voltage(x, a);
-                let vb = node_voltage(x, b);
-                let i_ab = g * (va - vb);
-                if let Some(ia) = unknown_of(a) {
-                    f[ia] += i_ab;
-                    j.add(ia, ia, g);
-                    if let Some(ib) = unknown_of(b) {
-                        j.add(ia, ib, -(g));
-                    }
-                }
+/// The circuit's elements in stamp order, each with the unknown of its
+/// branch current: voltage sources and VCVS take the rows after the
+/// node voltages in element order. Other elements carry the row the
+/// next branch element would take and ignore it.
+pub(crate) fn stamped_elements(circuit: &Circuit) -> impl Iterator<Item = (&Element, usize)> {
+    let mut branch_row = circuit.node_count() - 1;
+    circuit.elements().iter().map(move |element| {
+        let row = branch_row;
+        if matches!(element, Element::VSource { .. } | Element::Vcvs { .. }) {
+            branch_row += 1;
+        }
+        (element, row)
+    })
+}
+
+/// GMIN from the node whose KCL row and voltage unknown are `node_row`
+/// to ground.
+pub(crate) fn stamp_gmin<S: JacobianSink, R: ResidualSink + ?Sized>(
+    node_row: usize,
+    x: &[f64],
+    j: &mut S,
+    f: &mut R,
+) {
+    j.add(node_row, node_row, GMIN);
+    f.add(node_row, GMIN * x[node_row]);
+}
+
+/// Stamps one element's Jacobian entries and residual contributions at
+/// guess `x` — the device physics of every assembly. `branch_row` is
+/// the element's branch-current unknown (see [`stamped_elements`]).
+pub(crate) fn stamp_element<S: JacobianSink, R: ResidualSink + ?Sized>(
+    element: &Element,
+    branch_row: usize,
+    x: &[f64],
+    j: &mut S,
+    f: &mut R,
+) {
+    match *element {
+        Element::Resistor { a, b, ohms } => {
+            let g = 1.0 / ohms;
+            let va = node_voltage(x, a);
+            let vb = node_voltage(x, b);
+            let i_ab = g * (va - vb);
+            if let Some(ia) = unknown_of(a) {
+                f.add(ia, i_ab);
+                j.add(ia, ia, g);
                 if let Some(ib) = unknown_of(b) {
-                    f[ib] -= i_ab;
-                    j.add(ib, ib, g);
-                    if let Some(ia) = unknown_of(a) {
-                        j.add(ib, ia, -(g));
-                    }
+                    j.add(ia, ib, -(g));
                 }
             }
-            Element::Capacitor { .. } => {
-                // Open circuit in DC; the transient engine replaces
-                // capacitors with backward-Euler companion elements.
-            }
-            Element::ISource { plus, minus, amps } => {
-                if let Some(ip) = unknown_of(plus) {
-                    f[ip] += amps;
-                }
-                if let Some(im) = unknown_of(minus) {
-                    f[im] -= amps;
+            if let Some(ib) = unknown_of(b) {
+                f.add(ib, -i_ab);
+                j.add(ib, ib, g);
+                if let Some(ia) = unknown_of(a) {
+                    j.add(ib, ia, -(g));
                 }
             }
-            Element::Vcvs {
-                plus,
-                minus,
-                ctrl_p,
-                ctrl_n,
-                gain,
-            } => {
-                let row = n_nodes + src_idx;
-                let i_src = x[row];
-                if let Some(ip) = unknown_of(plus) {
-                    f[ip] += i_src;
-                    j.add(ip, row, 1.0);
-                    j.add(row, ip, 1.0);
-                }
-                if let Some(im) = unknown_of(minus) {
-                    f[im] -= i_src;
-                    j.add(im, row, -(1.0));
-                    j.add(row, im, -(1.0));
-                }
-                // Branch equation: V_p − V_m − gain·(V_cp − V_cn) = 0.
-                f[row] += node_voltage(x, plus)
+        }
+        Element::Capacitor { .. } => {
+            // Open circuit in DC; the transient engine replaces
+            // capacitors with backward-Euler companion elements.
+        }
+        Element::ISource { plus, minus, amps } => {
+            if let Some(ip) = unknown_of(plus) {
+                f.add(ip, amps);
+            }
+            if let Some(im) = unknown_of(minus) {
+                f.add(im, -amps);
+            }
+        }
+        Element::Vcvs {
+            plus,
+            minus,
+            ctrl_p,
+            ctrl_n,
+            gain,
+        } => {
+            let row = branch_row;
+            let i_src = x[row];
+            if let Some(ip) = unknown_of(plus) {
+                f.add(ip, i_src);
+                j.add(ip, row, 1.0);
+                j.add(row, ip, 1.0);
+            }
+            if let Some(im) = unknown_of(minus) {
+                f.add(im, -i_src);
+                j.add(im, row, -(1.0));
+                j.add(row, im, -(1.0));
+            }
+            // Branch equation: V_p − V_m − gain·(V_cp − V_cn) = 0.
+            f.add(
+                row,
+                node_voltage(x, plus)
                     - node_voltage(x, minus)
-                    - gain * (node_voltage(x, ctrl_p) - node_voltage(x, ctrl_n));
-                if let Some(cp) = unknown_of(ctrl_p) {
-                    j.add(row, cp, -(gain));
-                }
-                if let Some(cn) = unknown_of(ctrl_n) {
-                    j.add(row, cn, gain);
-                }
-                src_idx += 1;
+                    - gain * (node_voltage(x, ctrl_p) - node_voltage(x, ctrl_n)),
+            );
+            if let Some(cp) = unknown_of(ctrl_p) {
+                j.add(row, cp, -(gain));
             }
-            Element::VSource { plus, minus, volts } => {
-                let row = n_nodes + src_idx;
-                let i_src = x[row];
-                // Branch current leaves the + terminal into the circuit.
-                if let Some(ip) = unknown_of(plus) {
-                    f[ip] += i_src;
-                    j.add(ip, row, 1.0);
-                    j.add(row, ip, 1.0);
-                }
-                if let Some(im) = unknown_of(minus) {
-                    f[im] -= i_src;
-                    j.add(im, row, -(1.0));
-                    j.add(row, im, -(1.0));
-                }
-                f[row] += node_voltage(x, plus) - node_voltage(x, minus) - volts;
-                src_idx += 1;
+            if let Some(cn) = unknown_of(ctrl_n) {
+                j.add(row, cn, gain);
             }
-            Element::Egt {
-                drain,
-                gate,
-                source,
-                w,
-                l,
-                model,
-            } => {
-                let vg = node_voltage(x, gate);
-                let vd = node_voltage(x, drain);
-                let vs = node_voltage(x, source);
-                let e = model.eval(vg, vd, vs, w, l);
-                // Current I_D flows into the drain terminal and out of
-                // the source terminal.
-                if let Some(id_row) = unknown_of(drain) {
-                    f[id_row] += e.id_amps;
-                    if let Some(c) = unknown_of(gate) {
-                        j.add(id_row, c, e.gm_siemens);
-                    }
-                    if let Some(c) = unknown_of(drain) {
-                        j.add(id_row, c, e.gd_siemens);
-                    }
-                    if let Some(c) = unknown_of(source) {
-                        j.add(id_row, c, e.gs_siemens);
-                    }
+        }
+        Element::VSource { plus, minus, volts } => {
+            let row = branch_row;
+            let i_src = x[row];
+            // Branch current leaves the + terminal into the circuit.
+            if let Some(ip) = unknown_of(plus) {
+                f.add(ip, i_src);
+                j.add(ip, row, 1.0);
+                j.add(row, ip, 1.0);
+            }
+            if let Some(im) = unknown_of(minus) {
+                f.add(im, -i_src);
+                j.add(im, row, -(1.0));
+                j.add(row, im, -(1.0));
+            }
+            f.add(row, node_voltage(x, plus) - node_voltage(x, minus) - volts);
+        }
+        Element::Egt {
+            drain,
+            gate,
+            source,
+            w,
+            l,
+            model,
+        } => {
+            let vg = node_voltage(x, gate);
+            let vd = node_voltage(x, drain);
+            let vs = node_voltage(x, source);
+            let e = model.eval(vg, vd, vs, w, l);
+            // Current I_D flows into the drain terminal and out of
+            // the source terminal.
+            if let Some(id_row) = unknown_of(drain) {
+                f.add(id_row, e.id_amps);
+                if let Some(c) = unknown_of(gate) {
+                    j.add(id_row, c, e.gm_siemens);
                 }
-                if let Some(is_row) = unknown_of(source) {
-                    f[is_row] -= e.id_amps;
-                    if let Some(c) = unknown_of(gate) {
-                        j.add(is_row, c, -(e.gm_siemens));
-                    }
-                    if let Some(c) = unknown_of(drain) {
-                        j.add(is_row, c, -(e.gd_siemens));
-                    }
-                    if let Some(c) = unknown_of(source) {
-                        j.add(is_row, c, -(e.gs_siemens));
-                    }
+                if let Some(c) = unknown_of(drain) {
+                    j.add(id_row, c, e.gd_siemens);
+                }
+                if let Some(c) = unknown_of(source) {
+                    j.add(id_row, c, e.gs_siemens);
+                }
+            }
+            if let Some(is_row) = unknown_of(source) {
+                f.add(is_row, -e.id_amps);
+                if let Some(c) = unknown_of(gate) {
+                    j.add(is_row, c, -(e.gm_siemens));
+                }
+                if let Some(c) = unknown_of(drain) {
+                    j.add(is_row, c, -(e.gd_siemens));
+                }
+                if let Some(c) = unknown_of(source) {
+                    j.add(is_row, c, -(e.gs_siemens));
                 }
             }
         }

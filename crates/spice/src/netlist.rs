@@ -2,6 +2,7 @@
 
 use crate::device::EgtModel;
 use crate::SpiceError;
+use std::sync::Arc;
 
 /// Node identifier. Node 0 is always ground.
 pub type NodeId = usize;
@@ -83,9 +84,13 @@ pub enum Element {
 ///
 /// Nodes are created with [`Circuit::node`] (named, for debuggability)
 /// and elements with the builder methods. Ground is [`Circuit::GROUND`].
+///
+/// Node names are shared between clones, so a clone that only changes
+/// element values (a row's input drive, a perturbed print) copies the
+/// element list alone.
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
-    names: Vec<String>,
+    names: Arc<Vec<String>>,
     elements: Vec<Element>,
 }
 
@@ -96,14 +101,14 @@ impl Circuit {
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
         Circuit {
-            names: vec!["gnd".to_string()],
+            names: Arc::new(vec!["gnd".to_string()]),
             elements: Vec::new(),
         }
     }
 
     /// Allocates a new node with a debug name.
     pub fn node(&mut self, name: &str) -> NodeId {
-        self.names.push(name.to_string());
+        Arc::make_mut(&mut self.names).push(name.to_string());
         self.names.len() - 1
     }
 
