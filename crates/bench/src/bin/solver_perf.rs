@@ -1,11 +1,11 @@
 //! Solver benchmark: characterization cost and hardness per
-//! activation-function kind with the pattern-reusing solver and
-//! block-synchronous warm starts engaged (`BENCH_8.json`).
+//! activation-function kind with block-synchronous warm starts engaged
+//! (`BENCH_8.json`).
 //!
 //! Runs surrogate characterization for each printed AF cell with the
 //! solve-trace recorder and the hardness atlas enabled, records the
-//! solver rollups — factorization-reuse and warm-start counters plus
-//! the observatory fields: the Hager/Higham condition estimate, the
+//! solver rollups — the warm-start counter plus the observatory
+//! fields: the Hager/Higham condition estimate, the
 //! sparsity-fingerprint cardinality and the distance↔iterations
 //! correlation — and, when a baseline snapshot recorded at the same
 //! scale is readable (`BENCH_7.json`, recorded before warm starting
@@ -133,14 +133,12 @@ fn run(
     println!("Wrote {out}");
     for d in &snap.datasets {
         println!(
-            "  {:<14} {:>9.1} ms   {:>6} solves   {:>7} iters   {:>6} warm   {:>4} fact + {:>6} refact   max cond1 {:>10.3e}   {} pattern(s)   dist↔iters {:+.3}",
+            "  {:<14} {:>9.1} ms   {:>6} solves   {:>7} iters   {:>6} warm   max cond1 {:>10.3e}   {} pattern(s)   dist↔iters {:+.3}",
             d.dataset,
             d.wall_ms,
             d.solver.solves,
             d.solver.newton_iterations,
             d.solver.warm_started_solves,
-            d.solver.factorizations,
-            d.solver.refactorizations,
             d.solver.max_cond1_estimate,
             d.solver.fingerprint_cardinality,
             d.solver.distance_iters_correlation,

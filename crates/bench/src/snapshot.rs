@@ -58,11 +58,6 @@ pub struct SolverRollup {
     /// Nearest-neighbor-distance ↔ iterations correlation from the
     /// hardness atlas (0.0 when not observed or undefined).
     pub distance_iters_correlation: f64,
-    /// Full (pivot-searching) sparse numeric factorizations (0 on
-    /// dense-only runs and on snapshots predating the sparse backend).
-    pub factorizations: u64,
-    /// Cheap structure-reusing numeric refactorizations (0 likewise).
-    pub refactorizations: u64,
     /// Solves seeded from a warm state instead of a cold zero guess
     /// (0 on snapshots predating warm starting).
     pub warm_started_solves: u64,
@@ -87,8 +82,6 @@ impl SolverRollup {
             max_cond1_estimate: 0.0,
             fingerprint_cardinality: 0,
             distance_iters_correlation: 0.0,
-            factorizations: stats.factorizations,
-            refactorizations: stats.refactorizations,
             warm_started_solves: stats.warm_started_solves,
         }
     }
@@ -307,9 +300,8 @@ impl PerfSnapshot {
             ));
             push_num(&mut out, s.distance_iters_correlation);
             out.push_str(&format!(
-                ", \"factorizations\": {}, \"refactorizations\": {}, \
-                 \"warm_started_solves\": {}",
-                s.factorizations, s.refactorizations, s.warm_started_solves
+                ", \"warm_started_solves\": {}",
+                s.warm_started_solves
             ));
             out.push_str("}}");
         }
@@ -379,8 +371,6 @@ impl PerfSnapshot {
                     max_cond1_estimate: num("max_cond1_estimate"),
                     fingerprint_cardinality: num("fingerprint_cardinality") as u64,
                     distance_iters_correlation: num("distance_iters_correlation"),
-                    factorizations: num("factorizations") as u64,
-                    refactorizations: num("refactorizations") as u64,
                     warm_started_solves: num("warm_started_solves") as u64,
                 },
             });
@@ -650,8 +640,6 @@ mod tests {
                     max_cond1_estimate: 3.25e6,
                     fingerprint_cardinality: 1,
                     distance_iters_correlation: -0.125,
-                    factorizations: 12,
-                    refactorizations: 7988,
                     warm_started_solves: 944,
                 },
             }],
@@ -701,8 +689,6 @@ mod tests {
         assert!((d.solver.max_cond1_estimate - 3.25e6).abs() < 1.0);
         assert_eq!(d.solver.fingerprint_cardinality, 1);
         assert!((d.solver.distance_iters_correlation - -0.125).abs() < 1e-3);
-        assert_eq!(d.solver.factorizations, 12);
-        assert_eq!(d.solver.refactorizations, 7988);
         assert_eq!(d.solver.warm_started_solves, 944);
     }
 
@@ -725,8 +711,6 @@ mod tests {
         assert_eq!(s.max_cond1_estimate, 0.0);
         assert_eq!(s.fingerprint_cardinality, 0);
         assert_eq!(s.distance_iters_correlation, 0.0);
-        assert_eq!(s.factorizations, 0);
-        assert_eq!(s.refactorizations, 0);
         assert_eq!(s.warm_started_solves, 0);
     }
 

@@ -371,21 +371,6 @@ fn export_metrics(
     registry
         .gauge("spice_longest_failure_streak")
         .set(solver.longest_failure_streak as f64);
-    // Sparse-path reuse counters: full pivot-searching factorizations
-    // vs. cheap structure-reusing refactorizations, symbolic-pattern
-    // cache traffic, and solves seeded from a warm state.
-    registry
-        .counter("spice_factorizations")
-        .add(solver.factorizations);
-    registry
-        .counter("spice_refactorizations")
-        .add(solver.refactorizations);
-    registry
-        .counter("spice_pattern_hits")
-        .add(solver.pattern_hits);
-    registry
-        .counter("spice_pattern_misses")
-        .add(solver.pattern_misses);
     registry
         .counter("spice_warm_started_solves")
         .add(solver.warm_started_solves);

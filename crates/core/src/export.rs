@@ -26,7 +26,7 @@ use crate::network::PrintedNetwork;
 use crate::CoreError;
 use pnc_linalg::{argmax, Matrix};
 use pnc_spice::af::{attach_negation, VDD, VSS};
-use pnc_spice::dc::{solve_dc_with, SolverConfig};
+use pnc_spice::dc::{solve_dc_planned, SolverConfig};
 use pnc_spice::netlist::{Circuit, Element};
 use pnc_spice::power::total_power;
 use pnc_spice::variation::VariationModel;
@@ -112,11 +112,11 @@ impl ExportedNetwork {
     }
 
     /// The one row solve: drives `circuit`'s input sources with
-    /// `features` and solves its DC point, started from the block
-    /// plan's guess (cold when the plan has none). `circuit` is this
-    /// network's circuit or a perturbed print of it; every row
-    /// overwrites every input source, so one copy serves any number of
-    /// rows.
+    /// `features` and solves its DC point with the block plan, every
+    /// block started from zero (cold when the plan has no guess).
+    /// `circuit` is this network's circuit or a perturbed print of it;
+    /// every row overwrites every input source, so one copy serves any
+    /// number of rows.
     fn solve_row(
         &self,
         circuit: &mut Circuit,
@@ -135,8 +135,7 @@ impl ExportedNetwork {
             max_iterations: 300,
             ..SolverConfig::default()
         };
-        let guess = self.plan.guess(circuit, &cfg);
-        solve_dc_with(circuit, &cfg, guess.as_deref(), &Telemetry::disabled())
+        solve_dc_planned(circuit, &self.plan, &cfg, None, &Telemetry::disabled())
     }
 
     /// Output-node voltages of a solved row, one per class.
@@ -493,6 +492,7 @@ mod tests {
     use crate::activation::{LearnableActivation, SurrogateFidelity};
     use crate::network::NetworkConfig;
     use pnc_linalg::rng as lrng;
+    use pnc_spice::dc::solve_dc_with;
     use pnc_spice::AfKind;
     use pnc_surrogate::NegationModel;
     use std::sync::OnceLock;
@@ -600,7 +600,8 @@ mod tests {
             max_iterations: 1,
             ..SolverConfig::default()
         };
-        assert!(exported.plan.guess(exported.circuit(), &one_step).is_none());
+        let (guess, _) = exported.plan.guess(exported.circuit(), &one_step, None);
+        assert!(guess.is_none());
 
         let x = lrng::uniform_matrix(&mut lrng::seeded(9), 16, 4, -1.0, 1.0);
         let cfg = SolverConfig {

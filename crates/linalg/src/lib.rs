@@ -16,10 +16,6 @@
 //! * [`cond`] — Hager/Higham 1-norm condition estimation reusing
 //!   existing LU factors (the solver observatory's per-solve
 //!   `cond1_estimate`).
-//! * [`sparse`] — pattern-reusing sparse LU (CSC storage, one-time
-//!   symbolic analysis with a fill-reducing ordering, cheap numeric
-//!   refactorization) for MNA systems whose sparsity pattern is fixed
-//!   across thousands of solves.
 //! * [`qmc`] — a Sobol low-discrepancy sequence generator used to sample
 //!   activation-circuit design spaces exactly as the paper does
 //!   ("We sample 10,000 circuit configurations using a Sobol sequence").
@@ -48,7 +44,6 @@ pub mod error;
 pub mod matrix;
 pub mod qmc;
 pub mod rng;
-pub mod sparse;
 pub mod stats;
 
 pub use error::LinalgError;

@@ -1,4 +1,4 @@
-//! Block-triangular starting points for large DC solves.
+//! Block-triangular solves of large circuits.
 //!
 //! An exported network is block lower-triangular by construction: EGT
 //! gates and VCVS control inputs draw no current, so no stage loads
@@ -10,8 +10,10 @@
 //! graph give the diagonal blocks in an order where every block reads
 //! only unknowns of earlier ones. [`BlockPlan::guess`] solves the
 //! blocks in that order, each with the damped Newton descent of
-//! [`crate::dc`] on its own small dense system, which hands the
-//! whole-circuit solve a start that already satisfies every equation.
+//! [`crate::dc`] on its own small dense system. The result already
+//! satisfies every equation, so [`crate::dc::solve_dc_planned`] accepts
+//! it after one residual evaluation, and the whole circuit is never
+//! factored.
 
 use crate::dc::{newton_attempt, Equations, Linear, SolverConfig};
 use crate::mna::{
@@ -19,6 +21,7 @@ use crate::mna::{
 };
 use crate::netlist::Circuit;
 use crate::observe::pattern_fingerprint;
+use crate::SpiceError;
 use pnc_linalg::Matrix;
 
 /// Marks an equation or unknown not yet paired.
@@ -153,29 +156,44 @@ impl BlockPlan {
         plan
     }
 
-    /// A starting point for the DC solve of `circuit`: every block
-    /// solved in order by damped Newton from zero, with the unknowns of
-    /// earlier blocks held fixed. Blocks take `cfg`'s iteration limit,
-    /// damping and step tolerance, and a thousandth of its residual
-    /// tolerance.
+    /// Topology fingerprint of the planned circuit
+    /// ([`crate::observe::pattern_fingerprint`]).
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// A starting point for the DC solve of `circuit`, with the Newton
+    /// iterations it took: every block solved in order by damped
+    /// Newton, with the unknowns of earlier blocks held fixed. Each
+    /// block starts from its unknowns in `start` (the previous time
+    /// step's state, say), or from zero. Blocks take `cfg`'s iteration
+    /// limit, damping and step tolerance, and a thousandth of its
+    /// residual tolerance.
     ///
     /// `circuit` must share the planned topology: it may differ from
-    /// the planned circuit in element values only. `None` when a block
-    /// fails to converge, when `circuit` differs in size from the
-    /// planned one, or when the topology is structurally singular; the
-    /// caller then starts cold.
+    /// the planned circuit in element values only. The state is `None`
+    /// when a block fails to converge (its iterations still count),
+    /// when `circuit` differs in size from the planned one, or when the
+    /// topology is structurally singular; the caller then starts
+    /// elsewhere.
     ///
     /// # Panics
     ///
     /// May panic when `circuit` has the planned size but other wiring
     /// (checked in debug builds; release builds skip hashing the
     /// topology on every call).
-    pub fn guess(&self, circuit: &Circuit, cfg: &SolverConfig) -> Option<Vec<f64>> {
+    pub fn guess(
+        &self,
+        circuit: &Circuit,
+        cfg: &SolverConfig,
+        start: Option<&[f64]>,
+    ) -> (Option<Vec<f64>>, usize) {
+        let n = self.col_slot.len();
         if self.blocks.is_empty()
             || circuit.elements().len() != self.elements
-            || unknown_count(circuit) != self.col_slot.len()
+            || unknown_count(circuit) != n
         {
-            return None;
+            return (None, 0);
         }
         debug_assert_eq!(
             pattern_fingerprint(circuit),
@@ -186,23 +204,31 @@ impl BlockPlan {
             residual_tol_amps: cfg.residual_tol_amps * BLOCK_TOL_SHARE,
             ..*cfg
         };
-        let mut x = vec![0.0; self.col_slot.len()];
+        let start = start.filter(|s| s.len() == n);
+        let mut x = vec![0.0; n];
         let mut local = Vec::new();
+        let mut iterations = 0;
         for (b, block) in self.blocks.iter().enumerate() {
             local.clear();
-            local.resize(block.cols.len(), 0.0);
+            local.extend(block.cols.iter().map(|&c| start.map_or(0.0, |s| s[c])));
             let eqs = BlockEquations {
                 plan: self,
                 block: b,
                 circuit,
                 x: &mut x,
             };
-            newton_attempt(eqs, Linear::new(None), &mut local, &cfg, None).ok()?;
+            match newton_attempt(eqs, &mut local, &cfg, None) {
+                Ok((iters, _)) => iterations += iters,
+                Err(SpiceError::NonConvergence { iterations: i, .. }) => {
+                    return (None, iterations + i)
+                }
+                Err(_) => return (None, iterations),
+            }
             for (&c, &v) in block.cols.iter().zip(&local) {
                 x[c] = v;
             }
         }
-        Some(x)
+        (Some(x), iterations)
     }
 }
 
@@ -250,7 +276,7 @@ impl Equations for BlockEquations<'_> {
     /// Stamps, in the whole circuit's order, GMIN on the block's KCL
     /// rows and every element contributing to its rows, so each entry
     /// sums its terms as the whole-circuit assembly does.
-    fn assemble(&mut self, local: &[f64], lin: &mut Linear<'_>, f: &mut Vec<f64>) {
+    fn assemble(&mut self, local: &[f64], lin: &mut Linear, f: &mut Vec<f64>) {
         let (plan, b) = (self.plan, self.block);
         let block = &plan.blocks[b];
         for (&c, &v) in block.cols.iter().zip(local) {
@@ -262,7 +288,7 @@ impl Equations for BlockEquations<'_> {
         let mut j = BlockSink {
             plan,
             block: b,
-            out: lin.dense_jacobian(k),
+            out: lin.zeroed_jacobian(k),
         };
         let mut r = BlockSink {
             plan,
@@ -445,7 +471,8 @@ mod tests {
     fn assert_guess_is_the_solution(c: &Circuit, plan: &BlockPlan) {
         let cfg = SolverConfig::default();
         let tel = Telemetry::disabled();
-        let guess = plan.guess(c, &cfg).expect("every block converges");
+        let (guess, _) = plan.guess(c, &cfg, None);
+        let guess = guess.expect("every block converges");
         let warm = solve_dc_with(c, &cfg, Some(&guess), &tel).expect("warm solve");
         let cold = solve_dc_with(c, &cfg, None, &tel).expect("cold solve");
         assert_eq!(
@@ -500,10 +527,11 @@ mod tests {
             max_iterations: 1,
             ..SolverConfig::default()
         };
-        assert!(plan.guess(&c, &one_step).is_none());
+        let (state, iterations) = plan.guess(&c, &one_step, None);
+        assert!(state.is_none());
+        assert_eq!(iterations, 1, "the failed block's iteration counts");
         // A circuit of another size is not the planned topology.
-        assert!(plan
-            .guess(&tanh_bank(3), &SolverConfig::default())
-            .is_none());
+        let other = plan.guess(&tanh_bank(3), &SolverConfig::default(), None);
+        assert_eq!(other, (None, 0));
     }
 }

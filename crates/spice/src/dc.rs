@@ -1,30 +1,14 @@
 //! DC operating-point analysis: damped Newton–Raphson with supply
 //! ramping as a homotopy fallback.
 
+use crate::block::BlockPlan;
 use crate::mna::{assemble, assemble_into, node_voltage, unknown_count, JacobianSink};
 use crate::netlist::{Circuit, Element};
-use crate::pattern::{self, CircuitPattern};
 use crate::{observe, stats, SpiceError};
 use pnc_linalg::cond::cond1_estimate;
 use pnc_linalg::decomp::Lu;
-use pnc_linalg::sparse::SparseLu;
 use pnc_linalg::Matrix;
 use pnc_telemetry::{Event, Level, Stopwatch, Telemetry};
-use std::sync::Arc;
-
-/// Smallest MNA dimension solved with sparse LU; smaller systems use
-/// dense LU. The paper's activation circuits assemble 4–8 unknowns,
-/// where dense LU wins outright; exported networks assemble 70 and
-/// more, where sparse pattern reuse pays off once fill and O(n³) dense
-/// cost dominate the stamp cost.
-pub const SPARSE_MIN_DIM: usize = 32;
-
-/// The factorization rule: the circuit's cached sparsity pattern when
-/// it has at least [`SPARSE_MIN_DIM`] unknowns (solve with sparse LU),
-/// `None` below that (solve with dense LU).
-fn pattern_for(circuit: &Circuit) -> Option<Arc<CircuitPattern>> {
-    (unknown_count(circuit) >= SPARSE_MIN_DIM).then(|| pattern::cached_pattern(circuit))
-}
 
 /// Newton iteration limits and tolerances.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,6 +47,17 @@ pub struct OperatingPoint {
 }
 
 impl OperatingPoint {
+    /// Splits the solved unknown vector `x` after its `n_nodes` node
+    /// voltages.
+    fn from_state(x: &[f64], n_nodes: usize, iterations: usize, residual: f64) -> Self {
+        OperatingPoint {
+            voltages: x[..n_nodes].to_vec(),
+            source_currents: x[n_nodes..].to_vec(),
+            iterations,
+            residual,
+        }
+    }
+
     /// Voltage of `node` (ground reports 0).
     pub fn voltage(&self, node: usize) -> f64 {
         if node == Circuit::GROUND {
@@ -80,7 +75,9 @@ impl OperatingPoint {
         self.source_currents[k]
     }
 
-    /// Newton iterations spent (including ramp stages).
+    /// Whole-circuit Newton iterations spent (including ramp stages).
+    /// A planned solve's block iterations are not among them; the
+    /// solver statistics count both.
     pub fn iterations(&self) -> usize {
         self.iterations
     }
@@ -108,129 +105,55 @@ impl OperatingPoint {
     }
 }
 
-/// The linear algebra under one Newton attempt. Dense assembles a full
-/// Jacobian and factors it afresh every iteration. Sparse stamps into
-/// the circuit's cached pattern, whose preallocated value slots and
-/// shared symbolic factorization serve every iteration: the first
-/// iteration factorizes numerically, later ones refactorize in place
-/// (a fresh pivot order only on pivot drift). Numeric factor state
-/// lives in the attempt's frame — nothing per-solve is shared across
-/// threads.
-pub(crate) enum Linear<'p> {
-    Dense {
-        jacobian: Matrix,
-        lu: Option<Lu>,
-    },
-    Sparse {
-        pat: &'p CircuitPattern,
-        values: Vec<f64>,
-        lu: Option<SparseLu>,
-    },
+/// The dense linear algebra under one Newton attempt: the Jacobian the
+/// last assembly stamped and its LU factors, fresh every iteration.
+/// Both live in the attempt's frame — nothing per-solve is shared
+/// across threads.
+pub(crate) struct Linear {
+    jacobian: Matrix,
+    lu: Option<Lu>,
 }
 
-impl<'p> Linear<'p> {
-    /// Sparse over `pat` when given, dense otherwise.
-    pub(crate) fn new(pat: Option<&'p CircuitPattern>) -> Self {
-        match pat {
-            Some(pat) => Linear::Sparse {
-                pat,
-                values: pat.new_values(),
-                lu: None,
-            },
-            None => Linear::Dense {
-                jacobian: Matrix::zeros(0, 0),
-                lu: None,
-            },
+impl Linear {
+    fn new() -> Self {
+        Linear {
+            jacobian: Matrix::zeros(0, 0),
+            lu: None,
         }
     }
 
-    /// Assembles the Jacobian of `circuit` at `x`, keeping it for
-    /// [`Self::solve`], and writes the residual into `f`.
-    fn assemble(&mut self, circuit: &Circuit, x: &[f64], f: &mut Vec<f64>) {
-        match self {
-            Linear::Dense { jacobian, .. } => {
-                let sys = assemble(circuit, x);
-                *jacobian = sys.jacobian;
-                *f = sys.residual;
-            }
-            Linear::Sparse { pat, values, .. } => pat.stamp(circuit, x, values, f),
-        }
-    }
-
-    /// A zeroed `k × k` dense Jacobian for [`Self::solve`] to factor,
+    /// A zeroed `k × k` Jacobian for [`Self::solve`] to factor,
     /// assembled by the caller; reuses the previous one's storage.
-    pub(crate) fn dense_jacobian(&mut self, k: usize) -> &mut Matrix {
-        match self {
-            Linear::Dense { jacobian, .. } if jacobian.shape() == (k, k) => {
-                jacobian.as_mut_slice().fill(0.0);
-            }
-            _ => {
-                *self = Linear::Dense {
-                    jacobian: Matrix::zeros(k, k),
-                    lu: None,
-                }
-            }
+    pub(crate) fn zeroed_jacobian(&mut self, k: usize) -> &mut Matrix {
+        if self.jacobian.shape() == (k, k) {
+            self.jacobian.as_mut_slice().fill(0.0);
+        } else {
+            self.jacobian = Matrix::zeros(k, k);
         }
-        match self {
-            Linear::Dense { jacobian, .. } => jacobian,
-            Linear::Sparse { .. } => unreachable!("just made dense"),
-        }
+        &mut self.jacobian
     }
 
     /// Factors the assembled Jacobian and solves `J·dx = rhs`.
     fn solve(&mut self, rhs: &[f64]) -> Result<Vec<f64>, SpiceError> {
         let singular = |_| SpiceError::SingularMatrix;
-        match self {
-            Linear::Dense { jacobian, lu } => {
-                let lu = lu.insert(Lu::new(jacobian).map_err(singular)?);
-                lu.solve(rhs).map_err(singular)
-            }
-            Linear::Sparse { pat, values, lu } => {
-                let lu = match lu {
-                    None => {
-                        let fresh =
-                            SparseLu::factorize(pat.symbolic(), values).map_err(singular)?;
-                        stats::record_factorization();
-                        lu.insert(fresh)
-                    }
-                    Some(l) => {
-                        if l.refactorize(values).map_err(singular)? {
-                            stats::record_refactorization();
-                        } else {
-                            stats::record_factorization();
-                        }
-                        l
-                    }
-                };
-                lu.solve(rhs).map_err(singular)
-            }
-        }
+        let lu = self.lu.insert(Lu::new(&self.jacobian).map_err(singular)?);
+        lu.solve(rhs).map_err(singular)
     }
 
-    /// `(dimension, structural non-zeros)` of the Jacobian: the bit-exact
-    /// non-zeros of the assembled dense matrix, or the sparse pattern's.
+    /// `(dimension, structural non-zeros)` of the Jacobian: the
+    /// bit-exact non-zeros of the assembled matrix.
     fn shape(&self) -> (usize, usize) {
-        match self {
-            Linear::Dense { jacobian, .. } => {
-                // lint: allow(L002, reason = "sparsity counting: only a bit-exact zero is a structural zero")
-                let nnz = jacobian.as_slice().iter().filter(|&&v| v != 0.0).count();
-                (jacobian.rows(), nnz)
-            }
-            Linear::Sparse { pat, .. } => (pat.dim(), pat.nnz()),
-        }
+        let j = &self.jacobian;
+        // lint: allow(L002, reason = "sparsity counting: only a bit-exact zero is a structural zero")
+        let nnz = j.as_slice().iter().filter(|&&v| v != 0.0).count();
+        (j.rows(), nnz)
     }
 
     /// Conditioning estimate from the factors the step already paid
-    /// for. The Hager/Higham probe needs dense factors, so sparse
-    /// reports none.
+    /// for.
     fn cond1_estimate(&self) -> Option<f64> {
-        match self {
-            Linear::Dense {
-                jacobian,
-                lu: Some(lu),
-            } => cond1_estimate(jacobian, lu).ok(),
-            _ => None,
-        }
+        let lu = self.lu.as_ref()?;
+        cond1_estimate(&self.jacobian, lu).ok()
     }
 }
 
@@ -243,7 +166,7 @@ pub(crate) trait Equations {
     fn heads(&self) -> (usize, usize);
 
     /// Assembles at `x`: the Jacobian into `lin`, the residual into `f`.
-    fn assemble(&mut self, x: &[f64], lin: &mut Linear<'_>, f: &mut Vec<f64>);
+    fn assemble(&mut self, x: &[f64], lin: &mut Linear, f: &mut Vec<f64>);
 }
 
 impl Equations for &Circuit {
@@ -252,41 +175,46 @@ impl Equations for &Circuit {
         (n_nodes, n_nodes)
     }
 
-    fn assemble(&mut self, x: &[f64], lin: &mut Linear<'_>, f: &mut Vec<f64>) {
-        lin.assemble(self, x, f);
+    fn assemble(&mut self, x: &[f64], lin: &mut Linear, f: &mut Vec<f64>) {
+        let sys = assemble(self, x);
+        lin.jacobian = sys.jacobian;
+        *f = sys.residual;
     }
 }
 
-/// One damped Newton descent of `eqs` on the linear algebra `lin`.
-/// Returns `(iterations, residual)` on convergence; the residual is the
-/// KCL norm that passed the test.
+/// Largest absolute entry of `v` (0 when empty).
+fn inf_norm(v: &[f64]) -> f64 {
+    v.iter().fold(0.0f64, |m, r| m.max(r.abs()))
+}
+
+/// One damped Newton descent of `eqs` on dense LU. Returns
+/// `(iterations, residual)` on convergence; the residual is the KCL
+/// norm that passed the test.
 pub(crate) fn newton_attempt(
     mut eqs: impl Equations,
-    mut lin: Linear<'_>,
     x: &mut [f64],
     cfg: &SolverConfig,
     mut cap: Option<&mut observe::AttemptCapture>,
 ) -> Result<(usize, f64), SpiceError> {
     let (kcl_rows, voltages) = eqs.heads();
-    let node_resid = |f: &[f64]| f.iter().take(kcl_rows).fold(0.0f64, |m, r| m.max(r.abs()));
+    let mut lin = Linear::new();
     let mut f = vec![0.0; x.len()];
     for iter in 0..cfg.max_iterations {
         eqs.assemble(x, &mut lin, &mut f);
-        let max_resid = node_resid(&f);
+        let max_resid = inf_norm(&f[..kcl_rows]);
         // Converged on arrival: every equation — including the linear
         // source rows, which a warm start from a different sweep point
         // leaves violated — is satisfied at `x`, so the step would be
         // ~0 and the factorization pure confirmation. Well-predicted
         // warm starts land here one iteration early.
-        let full_resid = f.iter().fold(0.0f64, |m, r| m.max(r.abs()));
-        if full_resid < cfg.residual_tol_amps {
+        if inf_norm(&f) < cfg.residual_tol_amps {
             return Ok((iter, max_resid));
         }
         let neg_f: Vec<f64> = f.iter().map(|r| -r).collect();
         let dx = lin.solve(&neg_f)?;
 
         // Damping: limit voltage updates; currents move freely.
-        let max_dv = dx[..voltages].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+        let max_dv = inf_norm(&dx[..voltages]);
         let scale = if max_dv > cfg.max_step_volts {
             cfg.max_step_volts / max_dv
         } else {
@@ -312,7 +240,7 @@ pub(crate) fn newton_attempt(
     eqs.assemble(x, &mut lin, &mut f);
     Err(SpiceError::NonConvergence {
         iterations: cfg.max_iterations,
-        residual: node_resid(&f),
+        residual: inf_norm(&f[..kcl_rows]),
     })
 }
 
@@ -351,13 +279,7 @@ pub fn solve_dc_captured(
     warm_start: Option<&[f64]>,
 ) -> (Result<OperatingPoint, SpiceError>, observe::SolveTrace) {
     let mut cap = observe::AttemptCapture::new();
-    let result = solve_dc_inner(
-        circuit,
-        pattern_for(circuit).as_deref(),
-        cfg,
-        warm_start,
-        Some(&mut cap),
-    );
+    let result = solve_dc_inner(circuit, cfg, warm_start, Some(&mut cap));
     let trace = cap.into_trace(circuit, cfg, warm_start, &result);
     (result.map(|(op, _ramped)| op), trace)
 }
@@ -387,26 +309,67 @@ pub fn solve_dc_with(
     warm_start: Option<&[f64]>,
     tel: &Telemetry,
 ) -> Result<OperatingPoint, SpiceError> {
+    solve_recorded(circuit, None, cfg, warm_start, tel)
+}
+
+/// Solves the DC point of `circuit`, a circuit of `plan`'s topology,
+/// from the plan's block guess ([`BlockPlan::guess`], each block
+/// started from `start` or from zero). The guess is accepted when the
+/// full residual there is below `cfg.residual_tol_amps` — the test
+/// Newton applies on arrival, evaluated without a Jacobian — and
+/// otherwise starts whole-circuit Newton. Without a guess the solve
+/// starts from `start`, or cold.
+///
+/// Records and reports as [`solve_dc_with`] does: one solve, warm when
+/// it had a starting point, whose iterations count the block Newton
+/// iterations as well as the whole-circuit ones.
+///
+/// # Errors
+///
+/// Same conditions as [`solve_dc_with`].
+pub fn solve_dc_planned(
+    circuit: &Circuit,
+    plan: &BlockPlan,
+    cfg: &SolverConfig,
+    start: Option<&[f64]>,
+    tel: &Telemetry,
+) -> Result<OperatingPoint, SpiceError> {
+    solve_recorded(circuit, Some(plan), cfg, start, tel)
+}
+
+/// The recorded solve behind [`solve_dc_with`] and
+/// [`solve_dc_planned`]: stats, telemetry and the observatory around
+/// [`solve_dc_inner`], started from `plan`'s guess when there is one.
+fn solve_recorded(
+    circuit: &Circuit,
+    plan: Option<&BlockPlan>,
+    cfg: &SolverConfig,
+    warm_start: Option<&[f64]>,
+    tel: &Telemetry,
+) -> Result<OperatingPoint, SpiceError> {
     let mut scope = tel.profiler().scope("dc_solve");
     stats::record_solve();
-    if warm_start.is_some() {
+    let sw = Stopwatch::start();
+    let (guess, block_iters) = plan.map_or((None, 0), |p| p.guess(circuit, cfg, warm_start));
+    let start = guess.as_deref().or(warm_start);
+    if start.is_some() {
         stats::record_warm_start();
     }
     let mut cap = observe::capture_if_enabled();
-    let sw = Stopwatch::start();
-    let result = solve_dc_inner(
-        circuit,
-        pattern_for(circuit).as_deref(),
-        cfg,
-        warm_start,
-        cap.as_mut(),
-    );
+    let result = match guess
+        .as_deref()
+        .and_then(|g| accept_on_arrival(circuit, g, cfg))
+    {
+        Some(op) => Ok((op, false)),
+        None => solve_dc_inner(circuit, cfg, start, cap.as_mut()),
+    };
     stats::record_solve_time_ms(sw.elapsed_ms());
     let (iters, ramped) = match &result {
         Ok((op, ramped)) => {
-            stats::record_iterations(op.iterations());
+            let (iters, resid, ramped) =
+                (block_iters + op.iterations(), op.final_residual(), *ramped);
+            stats::record_iterations(iters);
             stats::record_success();
-            let (iters, resid, ramped) = (op.iterations(), op.final_residual(), *ramped);
             scope.set_u64("iterations", iters as u64);
             scope.set_bool("ramped", ramped);
             tel.emit(|| {
@@ -425,9 +388,9 @@ pub fn solve_dc_with(
                 residual,
             } = e
             {
-                stats::record_iterations(*iterations);
-                scope.set_u64("iterations", *iterations as u64);
-                let (iters, resid) = (*iterations, *residual);
+                let (iters, resid) = (block_iters + iterations, *residual);
+                stats::record_iterations(iters);
+                scope.set_u64("iterations", iters as u64);
                 tel.emit(|| {
                     Event::new("dc_solve_failed", Level::Warn)
                         .with_str("error", "non_convergence")
@@ -437,28 +400,53 @@ pub fn solve_dc_with(
                 // Newton failed from the guess, so the ramp ran.
                 (iters, true)
             } else {
+                // Only a plan's blocks iterated, if anything did.
+                if block_iters > 0 {
+                    stats::record_iterations(block_iters);
+                }
                 let msg = e.to_string();
                 tel.emit(|| Event::new("dc_solve_failed", Level::Warn).with_str("error", msg));
-                (0, false)
+                (block_iters, false)
             }
         }
     };
     // Observatory: the per-point accounting window (always — a few
-    // thread-local counter writes) and, when capturing, the trace.
-    observe::record_point_solve(circuit, iters as u64, ramped, result.is_err());
+    // thread-local counter writes) and, when capturing, the trace. A
+    // planned solve's trace starts from the block guess, so a replay
+    // reproduces its whole-circuit part without the plan.
+    let fingerprint = plan.map_or_else(
+        || observe::pattern_fingerprint(circuit),
+        BlockPlan::fingerprint,
+    );
+    observe::record_point_solve(fingerprint, iters as u64, ramped, result.is_err());
     if let Some(cap) = cap {
-        observe::record_trace(cap.into_trace(circuit, cfg, warm_start, &result));
+        observe::record_trace(cap.into_trace(circuit, cfg, start, &result));
     }
     result.map(|(op, _ramped)| op)
 }
 
+/// The operating point at `x` when every equation already holds there:
+/// the full residual is below `cfg.residual_tol_amps`, the test
+/// [`newton_attempt`] applies on arrival, evaluated without a Jacobian.
+fn accept_on_arrival(circuit: &Circuit, x: &[f64], cfg: &SolverConfig) -> Option<OperatingPoint> {
+    let f = residual(circuit, x);
+    if inf_norm(&f) >= cfg.residual_tol_amps {
+        return None;
+    }
+    let n_nodes = circuit.node_count() - 1;
+    Some(OperatingPoint::from_state(
+        x,
+        n_nodes,
+        0,
+        inf_norm(&f[..n_nodes]),
+    ))
+}
+
 /// Core solve: returns the operating point and whether the ramp
 /// fallback was engaged. Every attempt — the plain one and each ramp
-/// stage — factors on sparse LU over `pat` when given ([`pattern_for`]
-/// decides), dense LU otherwise.
+/// stage — factors on dense LU.
 fn solve_dc_inner(
     circuit: &Circuit,
-    pat: Option<&CircuitPattern>,
     cfg: &SolverConfig,
     warm_start: Option<&[f64]>,
     mut cap: Option<&mut observe::AttemptCapture>,
@@ -476,15 +464,10 @@ fn solve_dc_inner(
 
     // Attempt 1: plain Newton from the guess.
     let mut total_iters = 0usize;
-    match newton_attempt(circuit, Linear::new(pat), &mut x, cfg, cap.as_deref_mut()) {
+    match newton_attempt(circuit, &mut x, cfg, cap.as_deref_mut()) {
         Ok((iters, residual)) => {
             return Ok((
-                OperatingPoint {
-                    voltages: x[..n_nodes].to_vec(),
-                    source_currents: x[n_nodes..].to_vec(),
-                    iterations: iters,
-                    residual,
-                },
+                OperatingPoint::from_state(&x, n_nodes, iters, residual),
                 false,
             ));
         }
@@ -519,9 +502,7 @@ fn solve_dc_inner(
         if let Some(c) = cap.as_deref_mut() {
             c.mark_ramp_stage();
         }
-        // The ramped clone only rescales source values, so it shares
-        // the original topology — and therefore the same pattern.
-        match newton_attempt(&ramped, Linear::new(pat), &mut x, cfg, cap.as_deref_mut()) {
+        match newton_attempt(&ramped, &mut x, cfg, cap.as_deref_mut()) {
             Ok((iters, residual)) => {
                 total_iters += iters;
                 final_residual = residual;
@@ -547,12 +528,7 @@ fn solve_dc_inner(
     }
 
     Ok((
-        OperatingPoint {
-            voltages: x[..n_nodes].to_vec(),
-            source_currents: x[n_nodes..].to_vec(),
-            iterations: total_iters,
-            residual: final_residual,
-        },
+        OperatingPoint::from_state(&x, n_nodes, total_iters, final_residual),
         true,
     ))
 }
@@ -573,18 +549,18 @@ impl SweepResult {
     }
 }
 
-/// Residual inf-norm of a candidate state at the circuit's current
-/// element values: one assembly with the Jacobian entries discarded,
-/// no factorization. Cheap enough to rank several warm-start
-/// candidates per solve.
-fn residual_inf(circuit: &Circuit, x: &[f64]) -> f64 {
+/// Residual of a candidate state at the circuit's current element
+/// values: one assembly with the Jacobian entries discarded, no
+/// factorization. Cheap enough to rank several warm-start candidates
+/// per solve, or to accept a block guess.
+fn residual(circuit: &Circuit, x: &[f64]) -> Vec<f64> {
     struct NullSink;
     impl JacobianSink for NullSink {
         fn add(&mut self, _row: usize, _col: usize, _v: f64) {}
     }
     let mut f = vec![0.0; x.len()];
     assemble_into(circuit, x, &mut NullSink, &mut f);
-    f.iter().fold(0.0f64, |m, r| m.max(r.abs()))
+    f
 }
 
 /// Index of the warm-start candidate with the smallest assembled
@@ -593,7 +569,7 @@ fn residual_inf(circuit: &Circuit, x: &[f64]) -> f64 {
 fn best_warm_candidate(circuit: &Circuit, cands: &[Vec<f64>]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (i, c) in cands.iter().enumerate() {
-        let r = residual_inf(circuit, c);
+        let r = inf_norm(&residual(circuit, c));
         if best.is_none_or(|(_, b)| r < b) {
             best = Some((i, r));
         }
@@ -690,11 +666,7 @@ pub fn dc_sweep(
 /// tests to confirm physical consistency).
 pub fn residual_norm(circuit: &Circuit, op: &OperatingPoint) -> f64 {
     let n_nodes = circuit.node_count() - 1;
-    let sys = assemble(circuit, &op.state());
-    sys.residual
-        .iter()
-        .take(n_nodes)
-        .fold(0.0f64, |m, r| m.max(r.abs()))
+    inf_norm(&residual(circuit, &op.state())[..n_nodes])
 }
 
 /// Linearly spaced values, inclusive of both endpoints.
@@ -984,54 +956,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn size_rule_picks_the_factorization() {
-        let bank = tanh_bank(6);
-        assert!(unknown_count(&bank) >= SPARSE_MIN_DIM);
-        assert!(pattern_for(&bank).is_some(), "large circuit must go sparse");
-
-        let mut divider = Circuit::new();
-        let vin = divider.node("in");
-        let out = divider.node("out");
-        divider.vsource(vin, Circuit::GROUND, 1.0);
-        divider.resistor(vin, out, 1_000.0);
-        divider.resistor(out, Circuit::GROUND, 1_000.0);
-        assert!(
-            pattern_for(&divider).is_none(),
-            "2-node divider must stay dense"
-        );
-    }
-
-    #[test]
-    fn sparse_backend_matches_dense() {
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let vin = c.node("in");
-        let out = c.node("out");
-        c.vsource(vdd, Circuit::GROUND, 1.0);
-        c.vsource(vin, Circuit::GROUND, 0.6);
-        c.resistor(vdd, out, 100_000.0);
-        c.egt(out, vin, Circuit::GROUND, 2e-4, 2e-5);
-
-        let cfg = SolverConfig::default();
-        let pat = pattern::cached_pattern(&c);
-        let (d, _) = solve_dc_inner(&c, None, &cfg, None, None).unwrap();
-        let (s, _) = solve_dc_inner(&c, Some(&pat), &cfg, None, None).unwrap();
-        assert!((d.voltage(out) - s.voltage(out)).abs() < 1e-9);
-        assert!((d.source_current(0) - s.source_current(0)).abs() < 1e-12);
-        assert!(residual_norm(&c, &s) < 1e-9);
-    }
-
-    #[test]
-    fn sparse_trace_replays_bit_identically() {
-        // Through the JSONL round trip `solver replay` uses: the size
-        // rule alone must send the replay down the same sparse path.
+    fn large_circuit_trace_replays_bit_identically() {
+        // Through the JSONL round trip `solver replay` uses: a 34-unknown
+        // cold solve runs dense Newton and replays bit for bit.
         let c = tanh_bank(6);
         let cfg = SolverConfig::default();
         let (res, trace) = solve_dc_captured(&c, &cfg, None);
         assert!(res.is_ok());
         assert_eq!(trace.dim, unknown_count(&c));
         assert!(trace.nnz > 0);
-        assert_eq!(trace.cond1_estimate, 0.0, "sparse solves carry no estimate");
+        assert!(trace.cond1_estimate > 0.0, "dense solves carry an estimate");
         assert!(trace.residuals_amps.len() > 1);
 
         let line = trace.to_jsonl();
@@ -1047,39 +981,24 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shared_pattern_cache_keeps_threaded_solves_bit_identical() {
-        // A topology no other test builds, so the threads also race
-        // the cache's first insertion.
-        let base = tanh_bank(7);
-        let inputs = linspace(-1.0, 1.0, 5);
-        let solve_all = || -> Vec<(Vec<u64>, usize)> {
-            inputs
-                .iter()
-                .map(|&v| {
-                    let mut c = base.clone();
-                    c.set_vsource(2, v).unwrap();
-                    let op = solve_dc(&c).unwrap();
-                    let bits = op.state().iter().map(|x| x.to_bits()).collect();
-                    (bits, op.iterations())
-                })
-                .collect()
-        };
-        let start = std::sync::Barrier::new(4);
-        // lint: allow(L006, reason = "the test needs truly concurrent solves racing the shared pattern cache, not the executor's scheduling")
-        let threaded: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(|| {
-                        start.wait();
-                        solve_all()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let sequential = solve_all();
-        for run in threaded {
-            assert_eq!(run, sequential);
+    fn planned_solve_counts_one_solve_and_its_block_iterations() {
+        let c = tanh_bank(6);
+        let plan = BlockPlan::new(&c);
+        let cfg = SolverConfig::default();
+        // The point window is this thread's own, so parallel tests
+        // cannot add to it.
+        observe::point_window_reset();
+        let planned = solve_dc_planned(&c, &plan, &cfg, None, &Telemetry::disabled()).unwrap();
+        let window = observe::point_window_take();
+        assert_eq!(window.solves, 1);
+        assert!(window.newton_iterations > 0, "block work is counted");
+        assert_eq!(window.fingerprint, observe::pattern_fingerprint(&c));
+        assert_eq!(planned.iterations(), 0, "the guess is accepted on arrival");
+
+        let cold = solve_dc(&c).unwrap();
+        for node in 0..c.node_count() {
+            let d = (planned.voltage(node) - cold.voltage(node)).abs();
+            assert!(d < 1e-9, "node {node} differs by {d:e} V");
         }
     }
 

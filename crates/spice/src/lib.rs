@@ -17,8 +17,8 @@
 //!   smooth in the design variables `(W, L)` — the same property that
 //!   motivates the paper's differentiable surrogate models.
 //! * **Newton–Raphson** DC operating-point solving with step damping
-//!   and supply ramping as a fallback ([`dc`]), started for large
-//!   block-triangular circuits from a block-by-block solve ([`block`]).
+//!   and supply ramping as a fallback ([`dc`]); large block-triangular
+//!   circuits are solved block by block ([`block`]).
 //! * **Element-wise power accounting** ([`power`]).
 //! * Netlist builders for the paper's four printed activation circuits
 //!   and the negation (inverter) circuit ([`af`]), each parameterized by
@@ -51,7 +51,6 @@ pub mod error;
 pub mod mna;
 pub mod netlist;
 pub mod observe;
-pub(crate) mod pattern;
 pub mod power;
 pub mod stats;
 pub mod transient;
@@ -59,7 +58,7 @@ pub mod variation;
 
 pub use af::{AfDesign, AfKind};
 pub use block::BlockPlan;
-pub use dc::{solve_dc, solve_dc_captured, solve_dc_with, OperatingPoint};
+pub use dc::{solve_dc, solve_dc_captured, solve_dc_planned, solve_dc_with, OperatingPoint};
 pub use device::EgtModel;
 pub use error::SpiceError;
 pub use netlist::{Circuit, NodeId};

@@ -50,9 +50,9 @@ pub fn unknown_count(circuit: &Circuit) -> usize {
 /// Receives Jacobian stamps during assembly. The *sequence* of `add`
 /// calls is a pure function of the circuit topology — every stamp site
 /// fires unconditionally for a given element/terminal structure — so
-/// the same assembly walk can record a sparsity pattern (value-free),
-/// stamp a dense matrix, or write values into preallocated sparse
-/// slots, and the three stay aligned by construction.
+/// the same assembly walk can record the structure (value-free), stamp
+/// a dense matrix, keep one block's entries, or discard them all, and
+/// these stay aligned by construction.
 pub(crate) trait JacobianSink {
     /// Accumulates `v` at `(row, col)`.
     fn add(&mut self, row: usize, col: usize, v: f64);
@@ -97,7 +97,7 @@ impl ResidualSink for [f64] {
     }
 }
 
-/// Assembly walk shared by every backend: stamps the Jacobian through
+/// Assembly walk shared by every sink: stamps the Jacobian through
 /// `j` and accumulates the residual into `f` (which must be zeroed by
 /// the caller).
 ///

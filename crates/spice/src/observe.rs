@@ -16,9 +16,8 @@
 //!   excluded) plus the Jacobian's nonzero count,
 //! * a per-solve `cond1_estimate` of the Jacobian via the Hager/Higham
 //!   1-norm estimator in [`pnc_linalg::cond`], reusing the dense LU
-//!   factors the Newton step already computed (sparse-LU solves, of
-//!   circuits with at least [`crate::dc::SPARSE_MIN_DIM`] unknowns,
-//!   report 0.0),
+//!   factors the Newton step already computed (a solve accepted on
+//!   arrival factors nothing and reports 0.0),
 //! * the captured inputs (elements, solver config, warm start) so the
 //!   solve can be re-executed bit-for-bit by `pnc-cli solver replay`.
 //!
@@ -328,15 +327,9 @@ pub fn point_window_take() -> PointSolveStats {
     POINT_WINDOW.with(|w| w.replace(PointSolveStats::zero()))
 }
 
-/// Called by every solve (traced or not): a few thread-local counter
-/// bumps plus one cheap structural hash.
-pub(crate) fn record_point_solve(
-    circuit: &Circuit,
-    newton_iterations: u64,
-    ramped: bool,
-    failed: bool,
-) {
-    let fp = pattern_fingerprint(circuit);
+/// Called by every solve (traced or not) with the solved circuit's
+/// [`pattern_fingerprint`]: a few thread-local counter bumps.
+pub(crate) fn record_point_solve(fp: u64, newton_iterations: u64, ramped: bool, failed: bool) {
     POINT_WINDOW.with(|w| {
         let mut s = w.get();
         s.solves += 1;
@@ -976,8 +969,8 @@ mod tests {
     fn point_window_accumulates_and_takes() {
         point_window_reset();
         let c = divider();
-        record_point_solve(&c, 5, false, false);
-        record_point_solve(&c, 9, true, true);
+        record_point_solve(pattern_fingerprint(&c), 5, false, false);
+        record_point_solve(pattern_fingerprint(&c), 9, true, true);
         let s = point_window_take();
         assert_eq!(s.solves, 2);
         assert_eq!(s.newton_iterations, 14);

@@ -3,7 +3,8 @@
 //! The DC solver is invoked from deep inside characterization sweeps
 //! and power evaluations, far from any place a telemetry handle could
 //! reasonably be threaded. Instead, every [`crate::dc::solve_dc_with`]
-//! call unconditionally updates these relaxed atomic counters (a few
+//! and [`crate::dc::solve_dc_planned`] call unconditionally updates
+//! these relaxed atomic counters (a few
 //! nanoseconds per solve), and an orchestrator — typically the CLI at
 //! the end of a run — reads them out with [`snapshot`] or [`take`] and
 //! emits a single `spice_stats` event.
@@ -24,14 +25,6 @@ static FAILURES: AtomicU64 = AtomicU64::new(0);
 static FAILURE_STREAK: AtomicU64 = AtomicU64::new(0);
 // lint: allow(L003, reason = "process-wide divergence-streak high-water mark, same lifecycle as the counters above")
 static LONGEST_FAILURE_STREAK: AtomicU64 = AtomicU64::new(0);
-// lint: allow(L003, reason = "process-wide monotonic counters aggregated across solver threads; read out once per run")
-static FACTORIZATIONS: AtomicU64 = AtomicU64::new(0);
-// lint: allow(L003, reason = "process-wide monotonic counters aggregated across solver threads; read out once per run")
-static REFACTORIZATIONS: AtomicU64 = AtomicU64::new(0);
-// lint: allow(L003, reason = "process-wide monotonic counters aggregated across solver threads; read out once per run")
-static PATTERN_HITS: AtomicU64 = AtomicU64::new(0);
-// lint: allow(L003, reason = "process-wide monotonic counters aggregated across solver threads; read out once per run")
-static PATTERN_MISSES: AtomicU64 = AtomicU64::new(0);
 // lint: allow(L003, reason = "process-wide monotonic counters aggregated across solver threads; read out once per run")
 static WARM_STARTED_SOLVES: AtomicU64 = AtomicU64::new(0);
 
@@ -57,7 +50,7 @@ pub struct SolverStatsSnapshot {
     /// DC solves attempted (including failed ones).
     pub solves: u64,
     /// Newton iterations spent across all solves, attempts and ramp
-    /// stages.
+    /// stages, a planned solve's block iterations included.
     pub newton_iterations: u64,
     /// Solves where the cold/warm Newton attempt failed and the
     /// supply-ramp homotopy was engaged.
@@ -69,14 +62,14 @@ pub struct SolverStatsSnapshot {
     /// isolated failures are normal near extreme operating points;
     /// a long unbroken streak means the solver has stopped converging.
     pub longest_failure_streak: u64,
-    /// Full (pivot-searching) sparse numeric factorizations.
+    /// Always 0: no solve factors a sparse matrix. Kept until the
+    /// benchmark stops reading it (ROADMAP item 6).
     pub factorizations: u64,
-    /// Cheap numeric refactorizations that reused a frozen sparse
-    /// structure — the factorization-reuse win of the sparse backend.
+    /// Always 0, as [`Self::factorizations`] (ROADMAP item 6).
     pub refactorizations: u64,
-    /// Circuit-pattern cache hits (symbolic analysis reused).
+    /// Always 0, as [`Self::factorizations`] (ROADMAP item 6).
     pub pattern_hits: u64,
-    /// Circuit-pattern cache misses (pattern built + analyzed).
+    /// Always 0, as [`Self::factorizations`] (ROADMAP item 6).
     pub pattern_misses: u64,
     /// Solves handed a starting vector instead of a cold zero guess:
     /// within-sweep continuation (previous point, extrapolations) and
@@ -93,10 +86,6 @@ impl SolverStatsSnapshot {
             .with_u64("ramp_fallbacks", self.ramp_fallbacks)
             .with_u64("failures", self.failures)
             .with_u64("longest_failure_streak", self.longest_failure_streak)
-            .with_u64("factorizations", self.factorizations)
-            .with_u64("refactorizations", self.refactorizations)
-            .with_u64("pattern_hits", self.pattern_hits)
-            .with_u64("pattern_misses", self.pattern_misses)
             .with_u64("warm_started_solves", self.warm_started_solves)
     }
 }
@@ -109,11 +98,8 @@ pub fn snapshot() -> SolverStatsSnapshot {
         ramp_fallbacks: RAMP_FALLBACKS.load(Ordering::Relaxed),
         failures: FAILURES.load(Ordering::Relaxed),
         longest_failure_streak: LONGEST_FAILURE_STREAK.load(Ordering::Relaxed),
-        factorizations: FACTORIZATIONS.load(Ordering::Relaxed),
-        refactorizations: REFACTORIZATIONS.load(Ordering::Relaxed),
-        pattern_hits: PATTERN_HITS.load(Ordering::Relaxed),
-        pattern_misses: PATTERN_MISSES.load(Ordering::Relaxed),
         warm_started_solves: WARM_STARTED_SOLVES.load(Ordering::Relaxed),
+        ..SolverStatsSnapshot::default()
     }
 }
 
@@ -169,11 +155,8 @@ pub fn take() -> SolverStatsSnapshot {
         ramp_fallbacks: RAMP_FALLBACKS.swap(0, Ordering::Relaxed),
         failures: FAILURES.swap(0, Ordering::Relaxed),
         longest_failure_streak: LONGEST_FAILURE_STREAK.swap(0, Ordering::Relaxed),
-        factorizations: FACTORIZATIONS.swap(0, Ordering::Relaxed),
-        refactorizations: REFACTORIZATIONS.swap(0, Ordering::Relaxed),
-        pattern_hits: PATTERN_HITS.swap(0, Ordering::Relaxed),
-        pattern_misses: PATTERN_MISSES.swap(0, Ordering::Relaxed),
         warm_started_solves: WARM_STARTED_SOLVES.swap(0, Ordering::Relaxed),
+        ..SolverStatsSnapshot::default()
     }
 }
 
@@ -204,26 +187,6 @@ pub(crate) fn record_success() {
 
 pub(crate) fn record_ramp_fallback() {
     RAMP_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// A full sparse numeric factorization ran (pivot search included).
-pub(crate) fn record_factorization() {
-    FACTORIZATIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// A structure-reusing sparse refactorization ran.
-pub(crate) fn record_refactorization() {
-    REFACTORIZATIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The circuit-pattern cache served an existing symbolic analysis.
-pub(crate) fn record_pattern_hit() {
-    PATTERN_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The circuit-pattern cache had to build + analyze a new pattern.
-pub(crate) fn record_pattern_miss() {
-    PATTERN_MISSES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A solve was seeded from a warm state.
@@ -304,11 +267,8 @@ mod tests {
             ramp_fallbacks: 2,
             failures: 1,
             longest_failure_streak: 1,
-            factorizations: 4,
-            refactorizations: 6,
-            pattern_hits: 9,
-            pattern_misses: 1,
             warm_started_solves: 5,
+            ..SolverStatsSnapshot::default()
         }
         .to_event();
         assert_eq!(e.name, "spice_stats");
@@ -317,11 +277,24 @@ mod tests {
         assert_eq!(e.get_u64("ramp_fallbacks"), Some(2));
         assert_eq!(e.get_u64("failures"), Some(1));
         assert_eq!(e.get_u64("longest_failure_streak"), Some(1));
-        assert_eq!(e.get_u64("factorizations"), Some(4));
-        assert_eq!(e.get_u64("refactorizations"), Some(6));
-        assert_eq!(e.get_u64("pattern_hits"), Some(9));
-        assert_eq!(e.get_u64("pattern_misses"), Some(1));
         assert_eq!(e.get_u64("warm_started_solves"), Some(5));
+        // The always-zero sparse-path fields are not reported.
+        for gone in [
+            "factorizations",
+            "refactorizations",
+            "pattern_hits",
+            "pattern_misses",
+        ] {
+            assert_eq!(e.get_u64(gone), None, "{gone}");
+        }
+        let s = snapshot();
+        let zeroed = [
+            s.factorizations,
+            s.refactorizations,
+            s.pattern_hits,
+            s.pattern_misses,
+        ];
+        assert_eq!(zeroed, [0; 4]);
     }
 
     #[test]

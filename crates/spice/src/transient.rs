@@ -15,9 +15,13 @@
 //! Each step replaces every capacitor with its companion model — a
 //! conductance `C/Δt` in parallel with a history current source — and
 //! solves the resulting nonlinear DC system with the existing Newton
-//! machinery, warm-started from the previous step.
+//! machinery. A capacitor to ground only adds to its node's diagonal,
+//! so the companion circuit keeps the block order of the DC one: every
+//! step is a planned solve ([`crate::block`]) whose blocks start from
+//! the previous step's state.
 
-use crate::dc::{solve_dc_with, SolverConfig};
+use crate::block::BlockPlan;
+use crate::dc::{solve_dc_planned, SolverConfig};
 use crate::netlist::{Circuit, Element};
 use crate::SpiceError;
 use pnc_telemetry::Telemetry;
@@ -159,8 +163,9 @@ pub fn step_response(
 
 /// The backward-Euler loop: integrates `circuit` for `tstop_seconds`
 /// with fixed step `dt_seconds`, starting from the DC operating point of
-/// `initial` (capacitors open). Each step is warm-started from the
-/// previous one.
+/// `initial` (capacitors open). Both the initial point and the steps
+/// are planned solves; the steps share one plan, built once on the
+/// companion topology, and start from the previous step's state.
 fn integrate(
     initial: &Circuit,
     circuit: &Circuit,
@@ -172,8 +177,12 @@ fn integrate(
         "transient: dt_seconds and tstop_seconds must be positive"
     );
     let cfg = SolverConfig::default();
-    let op0 = solve_dc_with(initial, &cfg, None, &Telemetry::disabled())?;
+    let tel = Telemetry::disabled();
+    let op0 = solve_dc_planned(initial, &BlockPlan::new(initial), &cfg, None, &tel)?;
+    let mut state = op0.state();
     let mut v_prev = op0.all_voltages();
+    // The companion topology does not depend on the voltages.
+    let plan = BlockPlan::new(&companion(circuit, dt_seconds, &v_prev));
 
     let steps = (tstop_seconds / dt_seconds).ceil() as usize;
     let mut times = Vec::with_capacity(steps + 1);
@@ -181,19 +190,13 @@ fn integrate(
     times.push(0.0);
     voltages.push(v_prev.clone());
 
-    let mut warm: Option<Vec<f64>> = None;
     for k in 1..=steps {
         let comp = companion(circuit, dt_seconds, &v_prev);
-        let op = solve_dc_with(&comp, &cfg, warm.as_deref(), &Telemetry::disabled())?;
-        let v_now = op.all_voltages();
-        let mut state = v_now[1..].to_vec();
-        for b in 0..comp.branch_count() {
-            state.push(op.source_current(b));
-        }
-        warm = Some(state);
-        v_prev = v_now.clone();
+        let op = solve_dc_planned(&comp, &plan, &cfg, Some(&state), &tel)?;
+        state = op.state();
+        v_prev = op.all_voltages();
         times.push(k as f64 * dt_seconds);
-        voltages.push(v_now);
+        voltages.push(v_prev.clone());
     }
     Ok(TransientResult { times, voltages })
 }
