@@ -137,16 +137,56 @@ enum Op {
     SoftmaxCrossEntropy(usize, Vec<usize>, Matrix),
 }
 
+impl Op {
+    /// Parent node indices (at most two).
+    fn parents(&self) -> [Option<usize>; 2] {
+        match *self {
+            Op::Parameter | Op::Constant => [None, None],
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::MatMul(a, b)
+            | Op::AddRow(a, b)
+            | Op::MulRow(a, b)
+            | Op::DivRow(a, b)
+            | Op::ScaleByScalar(a, b)
+            | Op::ShiftByScalar(a, b)
+            | Op::HStack(a, b, _) => [Some(a), Some(b)],
+            Op::AddScalar(a)
+            | Op::MulScalar(a, _)
+            | Op::Unary(a, _)
+            | Op::ClampMin(a, _)
+            | Op::ClampMax(a, _)
+            | Op::MulConst(a, _)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SumRows(a)
+            | Op::SumCols(a)
+            | Op::ColMax(a, _)
+            | Op::RowMax(a, _)
+            | Op::AppendBiasCols(a)
+            | Op::SoftmaxCrossEntropy(a, _, _) => [Some(a), None],
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node {
     value: Matrix,
     op: Op,
+    /// Whether a [`Tape::parameter`] leaf reaches this node. Backward
+    /// visits live nodes only: no gradient can flow from a dead one
+    /// into a parameter.
+    live: bool,
 }
 
-/// Gradients produced by [`Tape::backward`].
+/// Parameter gradients produced by [`Tape::backward`].
 ///
-/// Indexed by [`Var`]; nodes that are unreachable from the loss or are
-/// [`Tape::constant`] leaves report `None`.
+/// Indexed by [`Var`]. Only [`Tape::parameter`] leaves carry a
+/// gradient: a parameter the loss does not depend on, a constant, and
+/// every intermediate node report `None` (backward hands intermediate
+/// gradients on to their parents instead of keeping them).
 #[derive(Debug)]
 pub struct Gradients {
     grads: Vec<Option<Matrix>>,
@@ -221,8 +261,18 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
+        let live = match op {
+            Op::Parameter => true,
+            _ => op.parents().iter().flatten().any(|&p| self.nodes[p].live),
+        };
+        self.nodes.push(Node { value, op, live });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Number of nodes a parameter reaches: the nodes a backward pass
+    /// can visit.
+    fn live_len(&self) -> usize {
+        self.nodes.iter().filter(|n| n.live).count()
     }
 
     // ------------------------------------------------------------------
@@ -598,20 +648,33 @@ impl Tape {
     // ------------------------------------------------------------------
 
     /// [`Tape::backward`] under a `tape_backward` profiling scope
-    /// carrying the tape length (graph size) as a span attribute. With
-    /// a disabled profiler this is exactly [`Tape::backward`].
+    /// carrying the tape length (`nodes`) and the number of nodes a
+    /// parameter reaches (`live_nodes`, the nodes backward can visit)
+    /// as span attributes. With a disabled profiler this is exactly
+    /// [`Tape::backward`].
     ///
     /// # Panics
     ///
     /// Panics when `root` is not `1 × 1`.
     pub fn backward_profiled(&self, root: Var, prof: &pnc_telemetry::Profiler) -> Gradients {
         let mut scope = prof.scope("tape_backward");
-        scope.set_u64("nodes", self.len() as u64);
+        if scope.is_recording() {
+            scope.set_u64("nodes", self.len() as u64);
+            scope.set_u64("live_nodes", self.live_len() as u64);
+        }
         self.backward(root)
     }
 
-    /// Runs backpropagation from a scalar root, returning gradients for
-    /// every reachable node.
+    /// Runs backpropagation from a scalar root, returning the gradient
+    /// of every parameter the root depends on.
+    ///
+    /// Only nodes a parameter reaches are visited, and no gradient is
+    /// computed for a parent no parameter reaches: constant-only
+    /// branches (fixed data and whatever is derived from it alone) cost
+    /// nothing. Each intermediate gradient is moved on to its parents,
+    /// so [`Gradients`] holds parameter leaves only. Skipping dead
+    /// branches changes no parameter gradient: every live node sums
+    /// the same contributions in the same order.
     ///
     /// # Panics
     ///
@@ -624,50 +687,73 @@ impl Tape {
             self.shape(root)
         );
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[root.0] = Some(Matrix::ones(1, 1));
+        if self.nodes[root.0].live {
+            grads[root.0] = Some(Matrix::ones(1, 1));
+        }
+        let live = |i: usize| self.nodes[i].live;
 
         for idx in (0..=root.0).rev() {
+            let node = &self.nodes[idx];
+            // Parameter leaves keep their gradient; every other node
+            // hands its own on. Only live nodes ever receive one.
+            if matches!(node.op, Op::Parameter) {
+                continue;
+            }
             let Some(g) = grads[idx].take() else {
                 continue;
             };
-            // Re-store: callers may query any node's gradient afterwards.
-            let g_for_children = g.clone();
-            grads[idx] = Some(g);
-            let g = g_for_children;
 
-            match &self.nodes[idx].op {
+            match &node.op {
                 Op::Parameter | Op::Constant => {}
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g);
+                    if live(*a) && live(*b) {
+                        accumulate(&mut grads, *a, g.clone());
+                        accumulate(&mut grads, *b, g);
+                    } else {
+                        accumulate(&mut grads, if live(*a) { *a } else { *b }, g);
+                    }
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, -&g);
+                    let gb = live(*b).then(|| -&g);
+                    if live(*a) {
+                        accumulate(&mut grads, *a, g);
+                    }
+                    if let Some(gb) = gb {
+                        accumulate(&mut grads, *b, gb);
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let ga = g.hadamard(&self.nodes[*b].value);
-                    let gb = g.hadamard(&self.nodes[*a].value);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    if live(*a) {
+                        accumulate(&mut grads, *a, g.hadamard(&self.nodes[*b].value));
+                    }
+                    if live(*b) {
+                        accumulate(&mut grads, *b, g.hadamard(&self.nodes[*a].value));
+                    }
                 }
                 Op::Div(a, b) => {
                     let bv = &self.nodes[*b].value;
-                    let ga = g.elem_div(bv);
-                    let av = &self.nodes[*a].value;
-                    let gb = g
-                        .hadamard(av)
-                        .zip_map(bv, |num, den| -num / (den * den))
-                        // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
-                        .expect("div backward shape");
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    if live(*a) {
+                        accumulate(&mut grads, *a, g.elem_div(bv));
+                    }
+                    if live(*b) {
+                        let av = &self.nodes[*a].value;
+                        let gb = g
+                            .hadamard(av)
+                            .zip_map(bv, |num, den| -num / (den * den))
+                            // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
+                            .expect("div backward shape");
+                        accumulate(&mut grads, *b, gb);
+                    }
                 }
                 Op::AddScalar(a) => accumulate(&mut grads, *a, g),
-                Op::MulScalar(a, s) => accumulate(&mut grads, *a, g.scale(*s)),
+                Op::MulScalar(a, s) => {
+                    let mut ga = g;
+                    ga.map_inplace(|v| v * *s);
+                    accumulate(&mut grads, *a, ga);
+                }
                 Op::Unary(a, kind) => {
                     let x = &self.nodes[*a].value;
-                    let y = &self.nodes[idx].value;
+                    let y = &node.value;
                     let mut ga = g;
                     for (i, gi) in ga.as_mut_slice().iter_mut().enumerate() {
                         let xi = x.as_slice()[i];
@@ -698,56 +784,80 @@ impl Tape {
                 }
                 Op::MatMul(a, b) => {
                     // y = a·b  ⇒  ∂a = g·bᵀ, ∂b = aᵀ·g
-                    let bv = &self.nodes[*b].value;
-                    let av = &self.nodes[*a].value;
-                    // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
-                    let ga = g.matmul_t(bv).expect("matmul backward lhs");
-                    // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
-                    let gb = av.t_matmul(&g).expect("matmul backward rhs");
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    if live(*a) {
+                        let bv = &self.nodes[*b].value;
+                        // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
+                        let ga = g.matmul_t(bv).expect("matmul backward lhs");
+                        accumulate(&mut grads, *a, ga);
+                    }
+                    if live(*b) {
+                        let av = &self.nodes[*a].value;
+                        // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
+                        let gb = av.t_matmul(&g).expect("matmul backward rhs");
+                        accumulate(&mut grads, *b, gb);
+                    }
                 }
                 Op::AddRow(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g.sum_rows());
+                    let gb = live(*b).then(|| g.sum_rows());
+                    if live(*a) {
+                        accumulate(&mut grads, *a, g);
+                    }
+                    if let Some(gb) = gb {
+                        accumulate(&mut grads, *b, gb);
+                    }
                 }
                 Op::MulRow(a, b) => {
-                    let bv = &self.nodes[*b].value;
-                    let av = &self.nodes[*a].value;
-                    // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
-                    let ga = g.mul_row_broadcast(bv).expect("mul_row backward");
-                    let gb = g.hadamard(av).sum_rows();
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    if live(*a) {
+                        let bv = &self.nodes[*b].value;
+                        // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
+                        let ga = g.mul_row_broadcast(bv).expect("mul_row backward");
+                        accumulate(&mut grads, *a, ga);
+                    }
+                    if live(*b) {
+                        let gb = g.hadamard(&self.nodes[*a].value).sum_rows();
+                        accumulate(&mut grads, *b, gb);
+                    }
                 }
                 Op::DivRow(a, b) => {
                     let bv = &self.nodes[*b].value;
-                    let av = &self.nodes[*a].value;
                     // y = a / row(b): ∂a = g / row(b); ∂b_j = -Σ_i g_ij a_ij / b_j²
-                    // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
-                    let ga = g.zip_row_div(bv).expect("div_row backward lhs");
-                    let mut gb = g.hadamard(av).sum_rows();
-                    for (j, v) in gb.as_mut_slice().iter_mut().enumerate() {
-                        let d = bv[(0, j)];
-                        *v = -*v / (d * d);
+                    if live(*a) {
+                        // lint: allow(L001, reason = "backward shapes mirror the forward pass, which validated them")
+                        let ga = g.zip_row_div(bv).expect("div_row backward lhs");
+                        accumulate(&mut grads, *a, ga);
                     }
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    if live(*b) {
+                        let mut gb = g.hadamard(&self.nodes[*a].value).sum_rows();
+                        for (j, v) in gb.as_mut_slice().iter_mut().enumerate() {
+                            let d = bv[(0, j)];
+                            *v = -*v / (d * d);
+                        }
+                        accumulate(&mut grads, *b, gb);
+                    }
                 }
                 Op::MulConst(a, mask) => {
                     accumulate(&mut grads, *a, g.hadamard(mask));
                 }
                 Op::ScaleByScalar(a, s) => {
-                    let sv = self.nodes[*s].value[(0, 0)];
-                    let av = &self.nodes[*a].value;
-                    let gs = g.hadamard(av).sum();
-                    accumulate(&mut grads, *a, g.scale(sv));
-                    accumulate(&mut grads, *s, Matrix::filled(1, 1, gs));
+                    let gs = live(*s).then(|| g.hadamard(&self.nodes[*a].value).sum());
+                    if live(*a) {
+                        let sv = self.nodes[*s].value[(0, 0)];
+                        let mut ga = g;
+                        ga.map_inplace(|v| v * sv);
+                        accumulate(&mut grads, *a, ga);
+                    }
+                    if let Some(gs) = gs {
+                        accumulate(&mut grads, *s, Matrix::filled(1, 1, gs));
+                    }
                 }
                 Op::ShiftByScalar(a, s) => {
-                    let gs = g.sum();
-                    accumulate(&mut grads, *a, g);
-                    accumulate(&mut grads, *s, Matrix::filled(1, 1, gs));
+                    let gs = live(*s).then(|| g.sum());
+                    if live(*a) {
+                        accumulate(&mut grads, *a, g);
+                    }
+                    if let Some(gs) = gs {
+                        accumulate(&mut grads, *s, Matrix::filled(1, 1, gs));
+                    }
                 }
                 Op::SumAll(a) => {
                     let (m, n) = self.nodes[*a].value.shape();
@@ -785,21 +895,25 @@ impl Tape {
                     accumulate(&mut grads, *a, ga);
                 }
                 Op::AppendBiasCols(a) => {
-                    let (m, n2) = self.nodes[idx].value.shape();
+                    let (m, n2) = node.value.shape();
                     let n = n2 - 2;
                     let ga = Matrix::from_fn(m, n, |i, j| g[(i, j)]);
                     accumulate(&mut grads, *a, ga);
                 }
                 Op::HStack(a, b, ac) => {
-                    let (m, _) = self.nodes[idx].value.shape();
-                    let bc = self.nodes[*b].value.cols();
-                    let ga = Matrix::from_fn(m, *ac, |i, j| g[(i, j)]);
-                    let gb = Matrix::from_fn(m, bc, |i, j| g[(i, ac + j)]);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    let m = node.value.rows();
+                    if live(*a) {
+                        let ga = Matrix::from_fn(m, *ac, |i, j| g[(i, j)]);
+                        accumulate(&mut grads, *a, ga);
+                    }
+                    if live(*b) {
+                        let bc = self.nodes[*b].value.cols();
+                        let gb = Matrix::from_fn(m, bc, |i, j| g[(i, ac + j)]);
+                        accumulate(&mut grads, *b, gb);
+                    }
                 }
                 Op::SoftmaxCrossEntropy(a, labels, probs) => {
-                    let (b, c) = probs.shape();
+                    let b = probs.rows();
                     let scale = g[(0, 0)] / b as f64;
                     let mut ga = probs.clone();
                     for i in 0..b {
@@ -808,16 +922,8 @@ impl Tape {
                     for v in ga.as_mut_slice() {
                         *v *= scale;
                     }
-                    let _ = c;
                     accumulate(&mut grads, *a, ga);
                 }
-            }
-        }
-
-        // Constants never expose gradients.
-        for (i, node) in self.nodes.iter().enumerate() {
-            if matches!(node.op, Op::Constant) {
-                grads[i] = None;
             }
         }
         Gradients { grads }
@@ -1115,6 +1221,79 @@ mod tests {
         let y = t.square(a);
         let g = t.backward(y);
         assert!(g.get(b).is_none());
+    }
+
+    #[test]
+    fn nodes_no_parameter_reaches_have_no_gradient() {
+        let mut t = Tape::new();
+        let c = t.constant(Matrix::row(&[0.5, -0.25]));
+        let folded = t.tanh(c);
+        let p = t.parameter(Matrix::row(&[2.0, 3.0]));
+        let y = t.mul(folded, p);
+        let s = t.sum_all(y);
+        assert_eq!(t.live_len(), 3); // p, y, s
+        let g = t.backward(s);
+        assert!(g.get(c).is_none());
+        assert!(g.get(folded).is_none());
+        // Intermediate gradients are handed on, not kept.
+        assert!(g.get(y).is_none());
+        assert!(g.get(s).is_none());
+        assert_eq!(g.expect(p).as_slice(), t.value(folded).as_slice());
+    }
+
+    #[test]
+    fn root_no_parameter_reaches_has_no_gradients() {
+        let mut t = Tape::new();
+        let p = t.parameter(Matrix::filled(1, 1, 1.0));
+        let c = t.constant(Matrix::filled(1, 1, 2.0));
+        let y = t.square(c);
+        let g = t.backward(y);
+        assert!(g.get(p).is_none());
+        assert!(g.get(c).is_none());
+    }
+
+    /// A long constant-only branch costs nothing in backward and moves
+    /// no parameter gradient: the same loss with the branch pre-folded
+    /// into one constant yields bit-identical gradients.
+    #[test]
+    fn constant_branch_gradients_equal_the_prefolded_branch() {
+        let x = Matrix::from_rows(&[&[0.3, -0.7, 0.1], &[0.9, 0.2, -0.4]]);
+        let theta = Matrix::from_rows(&[&[0.5, -1.0], &[0.25, 0.75], &[-0.6, 0.4]]);
+        let row = Matrix::row(&[1.5, -0.5]);
+        let loss = |t: &mut Tape, branch: Var| {
+            let w = t.parameter(theta.clone());
+            let r = t.parameter(row.clone());
+            let y = t.matmul(branch, w);
+            let z = t.mul_row(y, r);
+            let q = t.hstack(z, branch);
+            let sq = t.square(q);
+            let s = t.sum_all(sq);
+            let e = t.mul(branch, branch);
+            let es = t.sum_all(e);
+            (t.add(s, es), w, r)
+        };
+
+        let mut long = Tape::new();
+        let mut branch = long.constant(x.clone());
+        for k in 0..12 {
+            branch = long.add_scalar(branch, -0.1 * k as f64);
+            branch = long.tanh(branch);
+            branch = long.mul_scalar(branch, 1.3);
+        }
+        let folded_value = long.value(branch).clone();
+        let (l1, w1, r1) = loss(&mut long, branch);
+        let g1 = long.backward(l1);
+
+        let mut short = Tape::new();
+        let folded = short.constant(folded_value);
+        let (l2, w2, r2) = loss(&mut short, folded);
+        let g2 = short.backward(l2);
+
+        assert_eq!(long.scalar(l1).to_bits(), short.scalar(l2).to_bits());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(g1.expect(w1)), bits(g2.expect(w2)));
+        assert_eq!(bits(g1.expect(r1)), bits(g2.expect(r2)));
+        assert_eq!(long.live_len(), short.live_len());
     }
 
     #[test]

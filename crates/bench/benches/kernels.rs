@@ -34,15 +34,16 @@ fn bench_autodiff_step(c: &mut Criterion) {
     let mut rng = lrng::seeded(2);
     let x = lrng::uniform_matrix(&mut rng, 90, 6, -0.8, 0.8);
     let theta = lrng::normal_matrix(&mut rng, 8, 3, 0.0, 0.3);
-    let neg = NegationModel::ideal(1e-5);
+    let (x_aug, x_neg) = crossbar::encode(&x, &NegationModel::ideal(1e-5));
     let cfg = CountConfig::default();
 
     c.bench_function("autodiff/crossbar_fwd_bwd", |bench| {
         bench.iter(|| {
             let mut tape = Tape::new();
-            let xv = tape.constant(x.clone());
+            let xa = tape.constant(x_aug.clone());
+            let xn = tape.constant(x_neg.clone());
             let tv = tape.parameter(theta.clone());
-            let out = crossbar::forward(&mut tape, xv, tv, &neg, None);
+            let out = crossbar::forward(&mut tape, xa, xn, tv, None);
             let p = crossbar::power(&mut tape, &out);
             let n_af = soft_af_count(&mut tape, tv, &cfg);
             let n_neg = soft_neg_count(&mut tape, tv, 6, &cfg);

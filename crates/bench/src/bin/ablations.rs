@@ -145,7 +145,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let hard = hard_power(&net, refs.x_train)?;
             // Soft (differentiable) power at the solution.
             let mut tape = pnc_autodiff::Tape::new();
-            let bound = net.bind(&mut tape, refs.x_train)?;
+            let bound = net.bind(&mut tape, &net.encode(refs.x_train)?)?;
             let soft = tape.scalar(bound.power);
             let devices = net.device_count();
             t2.row(vec![

@@ -51,33 +51,76 @@ pub struct CrossbarOutput {
     pub denom: Var,
 }
 
+/// Drive of the negated bias and ground rows: `neg(1 V)` and
+/// `neg(0 V)`, the negation surrogate at the rail voltages.
+fn negated_rails(neg: &NegationModel) -> [f64; 2] {
+    [neg.eval_scalar(1.0), neg.eval_scalar(0.0)]
+}
+
+/// Encodes fixed input voltages as a crossbar's drive: the augmented
+/// input `[x, 1, 0]` and its negation, whose data columns pass through
+/// `neg` and whose rail columns are [`negated_rails`]. Bit-identical to
+/// [`encode_on_tape`] on the same values.
+pub fn encode(x: &Matrix, neg: &NegationModel) -> (Matrix, Matrix) {
+    let (rows, n) = x.shape();
+    let rails = negated_rails(neg);
+    let mut aug = Matrix::zeros(rows, n + 2);
+    let mut negated = Matrix::zeros(rows, n + 2);
+    for i in 0..rows {
+        let xi = x.row_slice(i);
+        let a = aug.row_slice_mut(i);
+        a[..n].copy_from_slice(xi);
+        a[n] = 1.0;
+        let ng = negated.row_slice_mut(i);
+        for (o, &v) in ng.iter_mut().zip(xi) {
+            *o = neg.eval_scalar(v);
+        }
+        ng[n..].copy_from_slice(&rails);
+    }
+    (aug, negated)
+}
+
+/// Encodes a layer output `h` on the tape as the next crossbar's drive:
+/// `[h, 1, 0]` and its negation. Only `h`'s columns pass through the
+/// negation surrogate; the rail columns are the constants
+/// [`negated_rails`].
+pub fn encode_on_tape(tape: &mut Tape, h: Var, neg: &NegationModel) -> (Var, Var) {
+    let aug = tape.append_bias_cols(h);
+    let negated_h = neg.eval_on_tape(tape, h);
+    let rails = negated_rails(neg);
+    let rail_cols = tape.constant(Matrix::from_fn(tape.shape(h).0, 2, |_, j| rails[j]));
+    (aug, tape.hstack(negated_h, rail_cols))
+}
+
 /// Computes the crossbar forward pass.
 ///
-/// `x` is a `batch × inputs` node of input voltages, `theta` the
-/// `(inputs + 2) × outputs` surrogate conductance parameter, `neg` the
-/// negation-circuit surrogate applied to the augmented inputs, and
+/// `x_aug` is the `batch × (inputs + 2)` augmented input `[x, 1, 0]`
+/// and `x_neg` its negation ([`encode`], [`encode_on_tape`]), `theta`
+/// the `(inputs + 2) × outputs` surrogate conductance parameter, and
 /// `mask` an optional pruning mask multiplied into `|Θ|` (1 = keep).
 pub fn forward(
     tape: &mut Tape,
-    x: Var,
+    x_aug: Var,
+    x_neg: Var,
     theta: Var,
-    neg: &NegationModel,
     mask: Option<&Matrix>,
 ) -> CrossbarOutput {
-    let (_, inputs) = tape.shape(x);
     let (rows, _) = tape.shape(theta);
     assert_eq!(
+        tape.shape(x_aug).1,
         rows,
-        inputs + 2,
-        "crossbar: theta must have inputs + 2 rows (bias and ground)"
+        "crossbar: theta must have one row per augmented input (inputs, bias and ground)"
+    );
+    assert_eq!(
+        tape.shape(x_neg),
+        tape.shape(x_aug),
+        "crossbar: the negated input must match the augmented input"
     );
 
     let theta = match mask {
         Some(m) => tape.mul_const(theta, m),
         None => theta,
     };
-    let x_aug = tape.append_bias_cols(x);
-    let x_neg = neg.eval_on_tape(tape, x_aug);
 
     let g_pos = tape.relu(theta);
     let ntheta = tape.neg(theta);
@@ -134,10 +177,11 @@ pub fn power(tape: &mut Tape, out: &CrossbarOutput) -> Var {
 }
 
 /// Plain (tape-free) reference implementation of the batch-mean crossbar
-/// power, used by reporting and tests. `theta_eff` must already have any
-/// pruning mask applied.
+/// power on input voltages `x`, used by tests. `theta_eff` must already
+/// have any pruning mask applied.
 pub fn power_reference(x: &Matrix, theta_eff: &Matrix, neg: &NegationModel) -> f64 {
-    power_reference_classes(x, theta_eff, neg).total_watts()
+    let (x_aug, x_neg) = encode(x, neg);
+    power_reference_classes(&x_aug, &x_neg, theta_eff).total_watts()
 }
 
 /// Batch-mean crossbar power split by device class, in watts.
@@ -167,38 +211,37 @@ impl CrossbarClassPower {
     }
 }
 
-/// Computes [`power_reference`] with per-device-class attribution.
+/// Computes [`power_reference`] with per-device-class attribution from
+/// a crossbar's drive: the augmented input `x_aug` and its negation
+/// `x_neg` ([`encode`], or the values [`forward`] read).
 pub fn power_reference_classes(
-    x: &Matrix,
+    x_aug: &Matrix,
+    x_neg: &Matrix,
     theta_eff: &Matrix,
-    neg: &NegationModel,
 ) -> CrossbarClassPower {
-    let batch = x.rows();
-    let inputs = x.cols();
+    let batch = x_aug.rows();
+    let width = x_aug.cols();
+    let inputs = width - 2;
     let outputs = theta_eff.cols();
-    assert_eq!(theta_eff.rows(), inputs + 2);
+    assert_eq!(theta_eff.rows(), width);
+    assert_eq!(x_neg.shape(), x_aug.shape());
 
     let mut classes = CrossbarClassPower::default();
     for b in 0..batch {
-        // Augmented inputs.
-        let mut xa = vec![0.0; inputs + 2];
-        xa[..inputs].copy_from_slice(x.row_slice(b));
-        xa[inputs] = 1.0;
-        xa[inputs + 1] = 0.0;
-        let xn: Vec<f64> = xa.iter().map(|&v| neg.eval_scalar(v)).collect();
-
+        let xa = x_aug.row_slice(b);
+        let xn = x_neg.row_slice(b);
         for n in 0..outputs {
             // Output voltage of this column.
             let mut num = 0.0;
             let mut den = DENOM_EPS;
-            for j in 0..inputs + 2 {
+            for j in 0..width {
                 let th = theta_eff[(j, n)];
                 let veff = if th >= 0.0 { xa[j] } else { xn[j] };
                 num += veff * th.abs();
                 den += th.abs();
             }
             let vz = num / den;
-            for j in 0..inputs + 2 {
+            for j in 0..width {
                 let th = theta_eff[(j, n)];
                 // lint: allow(L002, reason = "pruned-entry fast path: only a bit-exact zero marks a removed resistor")
                 if th == 0.0 {
@@ -246,15 +289,45 @@ mod tests {
         NegationModel::ideal(1e-5)
     }
 
+    /// Records the encoded drive of `x` as tape constants.
+    fn drive(tape: &mut Tape, x: &Matrix, neg: &NegationModel) -> (Var, Var) {
+        let (xa, xn) = encode(x, neg);
+        (tape.constant(xa), tape.constant(xn))
+    }
+
+    #[test]
+    fn encode_matches_the_tape_encoding_bitwise() {
+        let mut rng = lrng::seeded(25);
+        let x = lrng::uniform_matrix(&mut rng, 5, 3, -0.9, 0.9);
+        let neg = NegationModel {
+            a: 0.1,
+            b: -0.9,
+            c: 0.05,
+            d: 1.7,
+            ..ideal_neg()
+        };
+        let (xa, xn) = encode(&x, &neg);
+        let mut tape = Tape::new();
+        let h = tape.constant(x.clone());
+        let (ta, tn) = encode_on_tape(&mut tape, h, &neg);
+        // The negation surrogate's tape chain over the whole augmented
+        // input, rails included.
+        let whole = neg.eval_on_tape(&mut tape, ta);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&xa), bits(tape.value(ta)));
+        assert_eq!(bits(&xn), bits(tape.value(tn)));
+        assert_eq!(bits(&xn), bits(tape.value(whole)));
+    }
+
     #[test]
     fn positive_weights_form_weighted_average() {
         // With all-positive conductances and no bias, V_z is a convex
         // combination of inputs — check against a hand computation.
         let mut tape = Tape::new();
-        let x = tape.constant(Matrix::from_rows(&[&[0.5, -0.5]]));
+        let (xa, xn) = drive(&mut tape, &Matrix::from_rows(&[&[0.5, -0.5]]), &ideal_neg());
         // theta: rows = in1, in2, bias, gnd; single output.
         let theta = tape.parameter(Matrix::from_rows(&[&[0.3], &[0.1], &[0.0], &[0.0]]));
-        let out = forward(&mut tape, x, theta, &ideal_neg(), None);
+        let out = forward(&mut tape, xa, xn, theta, None);
         let vz = tape.value(out.vz)[(0, 0)];
         let expect = (0.5 * 0.3 + (-0.5) * 0.1) / (0.4 + DENOM_EPS);
         assert!((vz - expect).abs() < 1e-12, "vz {vz} vs {expect}");
@@ -263,9 +336,9 @@ mod tests {
     #[test]
     fn bias_conductance_pulls_toward_one() {
         let mut tape = Tape::new();
-        let x = tape.constant(Matrix::from_rows(&[&[0.0]]));
+        let (xa, xn) = drive(&mut tape, &Matrix::from_rows(&[&[0.0]]), &ideal_neg());
         let theta = tape.parameter(Matrix::from_rows(&[&[0.0], &[0.5], &[0.0]]));
-        let out = forward(&mut tape, x, theta, &ideal_neg(), None);
+        let out = forward(&mut tape, xa, xn, theta, None);
         let vz = tape.value(out.vz)[(0, 0)];
         // Only the bias conducts: V_z ≈ 1 · 0.5/(0.5 + ε).
         assert!((vz - 0.5 / (0.5 + DENOM_EPS)).abs() < 1e-12);
@@ -274,10 +347,10 @@ mod tests {
     #[test]
     fn negative_theta_uses_negated_input() {
         let mut tape = Tape::new();
-        let x = tape.constant(Matrix::from_rows(&[&[0.4]]));
-        let theta = tape.parameter(Matrix::from_rows(&[&[-0.5], &[0.0], &[0.0]]));
         let neg = ideal_neg();
-        let out = forward(&mut tape, x, theta, &neg, None);
+        let (xa, xn) = drive(&mut tape, &Matrix::from_rows(&[&[0.4]]), &neg);
+        let theta = tape.parameter(Matrix::from_rows(&[&[-0.5], &[0.0], &[0.0]]));
+        let out = forward(&mut tape, xa, xn, theta, None);
         let vz = tape.value(out.vz)[(0, 0)];
         let expect = neg.eval_scalar(0.4) * 0.5 / (0.5 + DENOM_EPS);
         assert!((vz - expect).abs() < 1e-12, "vz {vz} vs {expect}");
@@ -287,19 +360,19 @@ mod tests {
     #[test]
     fn grounded_column_outputs_near_zero() {
         let mut tape = Tape::new();
-        let x = tape.constant(Matrix::from_rows(&[&[0.9]]));
+        let (xa, xn) = drive(&mut tape, &Matrix::from_rows(&[&[0.9]]), &ideal_neg());
         let theta = tape.parameter(Matrix::zeros(3, 1));
-        let out = forward(&mut tape, x, theta, &ideal_neg(), None);
+        let out = forward(&mut tape, xa, xn, theta, None);
         assert_eq!(tape.value(out.vz)[(0, 0)], 0.0);
     }
 
     #[test]
     fn mask_prunes_conductances() {
         let mut tape = Tape::new();
-        let x = tape.constant(Matrix::from_rows(&[&[1.0]]));
+        let (xa, xn) = drive(&mut tape, &Matrix::from_rows(&[&[1.0]]), &ideal_neg());
         let theta = tape.parameter(Matrix::from_rows(&[&[0.5], &[0.5], &[0.0]]));
         let mask = Matrix::from_rows(&[&[1.0], &[0.0], &[0.0]]);
-        let out = forward(&mut tape, x, theta, &ideal_neg(), Some(&mask));
+        let out = forward(&mut tape, xa, xn, theta, Some(&mask));
         let vz = tape.value(out.vz)[(0, 0)];
         // Bias row masked off: only the input conductance remains.
         assert!((vz - 0.5 / (0.5 + DENOM_EPS)).abs() < 1e-12);
@@ -313,9 +386,9 @@ mod tests {
         let neg = ideal_neg();
 
         let mut tape = Tape::new();
-        let xv = tape.constant(x.clone());
+        let (xa, xn) = drive(&mut tape, &x, &neg);
         let tv = tape.parameter(theta_m.clone());
-        let out = forward(&mut tape, xv, tv, &neg, None);
+        let out = forward(&mut tape, xa, xn, tv, None);
         let p = power(&mut tape, &out);
         let tape_power = tape.scalar(p);
         let ref_power = power_reference(&x, &theta_m, &neg);
@@ -345,8 +418,8 @@ mod tests {
         let theta0 = lrng::normal_matrix(&mut rng, 5, 2, 0.1, 0.3);
         let neg = ideal_neg();
         let rep = pnc_autodiff::gradcheck::check_gradient(&theta0, 1e-6, move |tape, p| {
-            let xv = tape.constant(x.clone());
-            let out = forward(tape, xv, p, &neg, None);
+            let (xa, xn) = drive(tape, &x, &neg);
+            let out = forward(tape, xa, xn, p, None);
             let pw = power(tape, &out);
             // Scale to O(1) for conditioning (power is ~1e-5 W).
             tape.mul_scalar(pw, 1e5)
@@ -361,8 +434,8 @@ mod tests {
         let theta0 = lrng::normal_matrix(&mut rng, 4, 2, 0.05, 0.3);
         let neg = ideal_neg();
         let rep = pnc_autodiff::gradcheck::check_gradient(&theta0, 1e-6, move |tape, p| {
-            let xv = tape.constant(x.clone());
-            let out = forward(tape, xv, p, &neg, None);
+            let (xa, xn) = drive(tape, &x, &neg);
+            let out = forward(tape, xa, xn, p, None);
             let sq = tape.square(out.vz);
             tape.sum_all(sq)
         });

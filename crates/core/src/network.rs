@@ -10,24 +10,32 @@
 //! * optional pruning masks `m^C` / `m^N` produced by
 //!   [`PrintedNetwork::build_masks`] for the paper's fine-tuning phase.
 //!
-//! Everything needed by a training step happens on a caller-provided
-//! [`Tape`] through [`PrintedNetwork::bind`]: parameters are registered,
-//! the forward pass yields logits, the power model yields a single
-//! differentiable scalar in watts, and each layer's crossbar input is
+//! Features enter as a [`Batch`] ([`PrintedNetwork::encode`]): the
+//! first crossbar's augmented input `[x, 1, 0]` and its negation,
+//! computed once, since neither depends on a parameter. Everything
+//! needed by a training step happens on a caller-provided [`Tape`]
+//! through [`PrintedNetwork::bind`]: parameters are registered, the
+//! forward pass yields logits, the power model yields a single
+//! differentiable scalar in watts, and each layer's crossbar drive is
 //! recorded so [`PrintedNetwork::power_report_from`] can price the
 //! same parameters without another forward. Inference
-//! ([`PrintedNetwork::predict`]) runs the plain chain without the power
-//! subgraph.
+//! ([`PrintedNetwork::predict_batch`]) runs the same chain without the
+//! power subgraph.
 
 use crate::activation::{devices_per_af, LearnableActivation, DEVICES_PER_NEGATION};
 use crate::count::{self, CountConfig};
-use crate::crossbar;
+use crate::crossbar::{self, CrossbarOutput};
 use crate::power::{LayerPower, PowerBreakdown};
 use crate::CoreError;
 use pnc_autodiff::{Gradients, Tape, Var};
 use pnc_linalg::{rng as lrng, Matrix};
 use pnc_surrogate::NegationModel;
 use rand::rngs::StdRng;
+
+/// Rows per tape in [`PrintedNetwork::predict_batch`]. A row's logits
+/// depend on that row alone, so the split changes no bit; it bounds the
+/// tape's memory on large validation and test sets.
+const PREDICT_ROWS: usize = 256;
 
 /// Network construction settings.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,6 +76,42 @@ struct Layer {
     mask: Option<Matrix>,
 }
 
+/// Features encoded once as the first crossbar's drive: the augmented
+/// input `[x, 1, 0]` and its negation through the network's fixed
+/// negation cell (paper Fig. 3b). Neither depends on a parameter, so a
+/// training loop encodes each split once per fit
+/// ([`PrintedNetwork::encode`]) and every epoch reads the same values.
+#[derive(Debug, Clone)]
+pub struct Batch {
+    x_aug: Matrix,
+    x_neg: Matrix,
+    negation: NegationModel,
+}
+
+impl Batch {
+    /// Number of rows (samples).
+    pub fn rows(&self) -> usize {
+        self.x_aug.rows()
+    }
+
+    /// A copy of rows `start..end`.
+    fn slice_rows(&self, start: usize, end: usize) -> Batch {
+        let cols = self.x_aug.cols();
+        let rows = |m: &Matrix| {
+            Matrix::from_vec(
+                end - start,
+                cols,
+                m.as_slice()[start * cols..end * cols].to_vec(),
+            )
+        };
+        Batch {
+            x_aug: rows(&self.x_aug),
+            x_neg: rows(&self.x_neg),
+            negation: self.negation,
+        }
+    }
+}
+
 /// Tape handles for one bound layer.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundLayer {
@@ -75,17 +119,17 @@ pub struct BoundLayer {
     pub theta: Var,
     /// Parameter node for `ρ`.
     pub rho: Var,
+    /// The crossbar's nodes. Its drive, `x_aug` = `[h, 1, 0]` and
+    /// `x_neg` (layer 0: the batch's), is what
+    /// [`PrintedNetwork::power_report_from`] prices.
+    pub crossbar: CrossbarOutput,
 }
 
 /// A network bound to a tape for one training step.
 #[derive(Debug)]
 pub struct BoundNetwork {
-    /// Per-layer parameter handles, in layer order.
+    /// Per-layer handles, in layer order.
     pub layers: Vec<BoundLayer>,
-    /// Crossbar input of each layer, in layer order (layer 0: the bound
-    /// features). [`PrintedNetwork::power_report_from`] prices their
-    /// values.
-    pub layer_inputs: Vec<Var>,
     /// Network output (logits) node.
     pub logits: Var,
     /// Differentiable total power (watts).
@@ -255,6 +299,11 @@ impl PrintedNetwork {
         }
     }
 
+    /// The pruning mask of layer `i`, if one is active.
+    pub fn mask(&self, i: usize) -> Option<&Matrix> {
+        self.layers[i].mask.as_ref()
+    }
+
     /// The activation design vector of layer `i` in physical units.
     pub fn layer_design(&self, i: usize) -> Vec<f64> {
         self.activation.q_from_rho(&self.layers[i].rho)
@@ -264,69 +313,129 @@ impl PrintedNetwork {
     // Tape binding: forward + power
     // ------------------------------------------------------------------
 
-    /// Registers all parameters on `tape`, runs the forward pass on
-    /// input `x` and assembles the differentiable power model.
+    /// Encodes features `x` as the first crossbar's drive
+    /// ([`crossbar::encode`] through this network's negation cell).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InputWidthMismatch`] when `x` has the wrong
     /// number of columns.
-    pub fn bind(&self, tape: &mut Tape, x: &Matrix) -> Result<BoundNetwork, CoreError> {
-        if x.cols() != self.inputs {
-            return Err(CoreError::InputWidthMismatch {
-                expected: self.inputs,
-                got: x.cols(),
-            });
-        }
-        let mut bound_layers = Vec::with_capacity(self.layers.len());
-        let mut layer_inputs = Vec::with_capacity(self.layers.len());
-        let mut h = tape.constant(x.clone());
-        let mut power_terms: Vec<Var> = Vec::new();
+    pub fn encode(&self, x: &Matrix) -> Result<Batch, CoreError> {
+        self.validate_input(x)?;
+        let (x_aug, x_neg) = crossbar::encode(x, &self.negation);
+        Ok(Batch {
+            x_aug,
+            x_neg,
+            negation: self.negation,
+        })
+    }
 
-        for (i, layer) in self.layers.iter().enumerate() {
-            let theta = tape.parameter(layer.theta.clone());
-            let rho = if self.freeze_designs {
-                tape.constant(layer.rho.clone())
-            } else {
-                tape.parameter(layer.rho.clone())
-            };
-            bound_layers.push(BoundLayer { theta, rho });
-            layer_inputs.push(h);
-
-            let out = crossbar::forward(tape, h, theta, &self.negation, layer.mask.as_ref());
-            // Activation on every neuron, including the output layer
-            // (each printed neuron ends in an activation circuit).
-            h = self.activation.apply_on_tape(tape, out.vz, rho);
-
+    /// Registers all parameters on `tape`, runs the forward pass on
+    /// `batch` and assembles the differentiable power model.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InputWidthMismatch`] when `batch` was
+    /// encoded for a different input width.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `batch` was encoded with a different negation model.
+    pub fn bind(&self, tape: &mut Tape, batch: &Batch) -> Result<BoundNetwork, CoreError> {
+        let (layers, logits) = self.record(tape, batch, true)?;
+        let mut power_terms: Vec<Var> = Vec::with_capacity(layers.len());
+        for (i, (layer, bound)) in self.layers.iter().zip(&layers).enumerate() {
             // Power: crossbar + soft-counted activation and negation
             // circuits. The soft counts see the *masked* theta.
             let masked_theta = match &layer.mask {
-                Some(m) => tape.mul_const(theta, m),
-                None => theta,
+                Some(m) => tape.mul_const(bound.theta, m),
+                None => bound.theta,
             };
-            let p_cross = crossbar::power(tape, &out);
+            let p_cross = crossbar::power(tape, &bound.crossbar);
             let n_af = count::soft_af_count(tape, masked_theta, &self.cfg.count);
             let n_neg =
                 count::soft_neg_count(tape, masked_theta, self.input_width(i), &self.cfg.count);
-            let p_af_each = self.activation.power_on_tape(tape, rho);
+            let p_af_each = self.activation.power_on_tape(tape, bound.rho);
             let p_af = tape.mul(n_af, p_af_each);
             let p_neg = tape.mul_scalar(n_neg, self.negation.mean_power_watts);
             let sum1 = tape.add(p_cross, p_af);
             power_terms.push(tape.add(sum1, p_neg));
         }
 
-        let logits = tape.mul_scalar(h, self.cfg.logit_scale);
         let mut power = power_terms[0];
         for &t in &power_terms[1..] {
             power = tape.add(power, t);
         }
 
         Ok(BoundNetwork {
-            layers: bound_layers,
-            layer_inputs,
+            layers,
             logits,
             power,
         })
+    }
+
+    /// Records the crossbar and activation chain on `tape` and returns
+    /// each layer's handles and the logits. Layer 0 reads the batch's
+    /// drive as constants; every later layer encodes the previous
+    /// activation ([`crossbar::encode_on_tape`]). With `trainable`, `Θ`
+    /// and `ρ` are parameters (`ρ` stays constant while designs are
+    /// frozen); otherwise every parameter is a constant.
+    fn record(
+        &self,
+        tape: &mut Tape,
+        batch: &Batch,
+        trainable: bool,
+    ) -> Result<(Vec<BoundLayer>, Var), CoreError> {
+        self.check_drive_width(&batch.x_aug)?;
+        assert!(
+            batch.negation == self.negation,
+            "batch was encoded with a different negation model"
+        );
+        let mut bound_layers = Vec::with_capacity(self.layers.len());
+        let mut input = tape.constant(batch.x_aug.clone());
+        let mut negated = tape.constant(batch.x_neg.clone());
+        let mut h = input;
+
+        for (i, layer) in self.layers.iter().enumerate() {
+            if i > 0 {
+                (input, negated) = crossbar::encode_on_tape(tape, h, &self.negation);
+            }
+            let theta = if trainable {
+                tape.parameter(layer.theta.clone())
+            } else {
+                tape.constant(layer.theta.clone())
+            };
+            let rho = if trainable && !self.freeze_designs {
+                tape.parameter(layer.rho.clone())
+            } else {
+                tape.constant(layer.rho.clone())
+            };
+            let out = crossbar::forward(tape, input, negated, theta, layer.mask.as_ref());
+            // Activation on every neuron, including the output layer
+            // (each printed neuron ends in an activation circuit).
+            h = self.activation.apply_on_tape(tape, out.vz, rho);
+            bound_layers.push(BoundLayer {
+                theta,
+                rho,
+                crossbar: out,
+            });
+        }
+
+        let logits = tape.mul_scalar(h, self.cfg.logit_scale);
+        Ok((bound_layers, logits))
+    }
+
+    /// Checks that a first-crossbar drive (`[x, 1, 0]`) matches the
+    /// network's input width.
+    fn check_drive_width(&self, x_aug: &Matrix) -> Result<(), CoreError> {
+        let got = x_aug.cols().saturating_sub(2);
+        if x_aug.cols() != self.inputs + 2 {
+            return Err(CoreError::InputWidthMismatch {
+                expected: self.inputs,
+                got,
+            });
+        }
+        Ok(())
     }
 
     fn input_width(&self, i: usize) -> usize {
@@ -349,21 +458,36 @@ impl PrintedNetwork {
         Ok(())
     }
 
-    /// Plain forward pass returning logits: the crossbar and activation
-    /// chain of [`PrintedNetwork::bind`] without its power subgraph,
+    /// Forward pass returning logits: the crossbar and activation chain
+    /// of [`PrintedNetwork::bind`] without its power subgraph,
     /// bit-identical to `bind`'s logits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InputWidthMismatch`] when `batch` was
+    /// encoded for a different input width.
+    pub fn predict_batch(&self, batch: &Batch) -> Result<Matrix, CoreError> {
+        let rows = batch.rows();
+        let mut logits = Vec::with_capacity(rows * self.outputs);
+        // At least one chunk, so an empty batch is width-checked too.
+        for start in (0..rows.max(1)).step_by(PREDICT_ROWS) {
+            let chunk = batch.slice_rows(start, (start + PREDICT_ROWS).min(rows));
+            let mut tape = Tape::new();
+            let (_, out) = self.record(&mut tape, &chunk, false)?;
+            logits.extend_from_slice(tape.value(out).as_slice());
+        }
+        Ok(Matrix::from_vec(rows, self.outputs, logits))
+    }
+
+    /// [`PrintedNetwork::predict_batch`] on features `x`, encoded on the
+    /// spot.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InputWidthMismatch`] when `x` has the wrong
     /// number of columns.
     pub fn predict(&self, x: &Matrix) -> Result<Matrix, CoreError> {
-        self.validate_input(x)?;
-        let mut h = self.forward_layer_plain(x, 0);
-        for i in 1..self.layers.len() {
-            h = self.forward_layer_plain(&h, i);
-        }
-        Ok(h.scale(self.cfg.logit_scale))
+        self.predict_batch(&self.encode(x)?)
     }
 
     /// Classification accuracy on `(x, labels)`, in `[0, 1]`.
@@ -384,31 +508,31 @@ impl PrintedNetwork {
     // ------------------------------------------------------------------
 
     /// Power report with indicator (hard) device counts — the paper's
-    /// "final power estimation" semantics. Runs a plain forward for the
-    /// layer inputs (the last layer's output feeds no crossbar, so it
-    /// is never computed) and prices them with
-    /// [`PrintedNetwork::power_report_from`].
+    /// "final power estimation" semantics. Runs the plain chain of
+    /// [`PrintedNetwork::predict`] for each layer's crossbar drive and
+    /// prices it with [`PrintedNetwork::power_report_from`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InputWidthMismatch`] when `x` has the wrong
     /// number of columns.
     pub fn power_report(&self, x: &Matrix) -> Result<PowerBreakdown, CoreError> {
-        self.validate_input(x)?;
-        let mut hidden: Vec<Matrix> = Vec::with_capacity(self.layers.len() - 1);
-        for i in 0..self.layers.len() - 1 {
-            let h = self.forward_layer_plain(hidden.last().unwrap_or(x), i);
-            hidden.push(h);
-        }
-        let inputs: Vec<&Matrix> = std::iter::once(x).chain(&hidden).collect();
-        self.power_report_from(&inputs)
+        let batch = self.encode(x)?;
+        let mut tape = Tape::new();
+        let (layers, _) = self.record(&mut tape, &batch, false)?;
+        let drives: Vec<(&Matrix, &Matrix)> = layers
+            .iter()
+            .map(|l| (tape.value(l.crossbar.x_aug), tape.value(l.crossbar.x_neg)))
+            .collect();
+        self.power_report_from(&drives)
     }
 
-    /// Prices each layer's crossbar input — recorded by
-    /// [`PrintedNetwork::bind`] ([`BoundNetwork::layer_inputs`]) or
-    /// computed by [`PrintedNetwork::power_report`] — with indicator
-    /// device counts. Bit-identical to `power_report` on the same
-    /// parameters and features.
+    /// Prices each layer's crossbar drive — its augmented input and
+    /// that input's negation, as recorded by [`PrintedNetwork::bind`]
+    /// ([`BoundLayer::crossbar`]) — with indicator device counts. The
+    /// negations are read, not evaluated again. Bit-identical to
+    /// [`PrintedNetwork::power_report`] on the same parameters and
+    /// features.
     ///
     /// # Errors
     ///
@@ -417,14 +541,17 @@ impl PrintedNetwork {
     ///
     /// # Panics
     ///
-    /// Panics unless there is exactly one input per layer.
-    pub fn power_report_from(&self, inputs: &[&Matrix]) -> Result<PowerBreakdown, CoreError> {
-        assert_eq!(inputs.len(), self.layers.len(), "one input per layer");
-        self.validate_input(inputs[0])?;
+    /// Panics unless there is exactly one drive per layer.
+    pub fn power_report_from(
+        &self,
+        drives: &[(&Matrix, &Matrix)],
+    ) -> Result<PowerBreakdown, CoreError> {
+        assert_eq!(drives.len(), self.layers.len(), "one drive per layer");
+        self.check_drive_width(drives[0].0)?;
         let mut report = PowerBreakdown::default();
-        for (i, (layer, &h)) in self.layers.iter().zip(inputs).enumerate() {
+        for (i, (layer, &(x_aug, x_neg))) in self.layers.iter().zip(drives).enumerate() {
             let theta_eff = self.theta_effective(i);
-            let classes = crossbar::power_reference_classes(h, &theta_eff, &self.negation);
+            let classes = crossbar::power_reference_classes(x_aug, x_neg, &theta_eff);
             let n_af = count::hard_af_count(&theta_eff, &self.cfg.count);
             let n_neg = count::hard_neg_count(&theta_eff, self.input_width(i), &self.cfg.count);
             let p_af = self.activation.power_value(&layer.rho);
@@ -447,22 +574,6 @@ impl PrintedNetwork {
             report.layers.push(layer_power);
         }
         Ok(report)
-    }
-
-    fn forward_layer_plain(&self, x: &Matrix, i: usize) -> Matrix {
-        let mut tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        let theta = tape.parameter(self.layers[i].theta.clone());
-        let out = crossbar::forward(
-            &mut tape,
-            xv,
-            theta,
-            &self.negation,
-            self.layers[i].mask.as_ref(),
-        );
-        let rho = tape.parameter(self.layers[i].rho.clone());
-        let act = self.activation.apply_on_tape(&mut tape, out.vz, rho);
-        tape.value(act).clone()
     }
 
     /// Total printed-device count with indicator semantics (Table I's
@@ -591,17 +702,41 @@ mod tests {
     }
 
     #[test]
-    fn bind_rejects_wrong_width() {
+    fn predict_in_row_chunks_equals_bind_bitwise() {
+        let mut net = small_network(4);
+        let x = lrng::uniform_matrix(&mut lrng::seeded(5), 2 * PREDICT_ROWS + 7, 4, -0.8, 0.8);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for masked in [false, true] {
+            if masked {
+                net.build_masks();
+            }
+            let mut tape = Tape::new();
+            let bound = net.bind(&mut tape, &net.encode(&x).unwrap()).unwrap();
+            let logits = net.predict(&x).unwrap();
+            assert_eq!(logits.shape(), (x.rows(), 3));
+            assert_eq!(bits(&logits), bits(tape.value(bound.logits)));
+        }
+        assert_eq!(net.predict(&Matrix::zeros(0, 4)).unwrap().shape(), (0, 3));
+    }
+
+    #[test]
+    fn encode_and_bind_reject_wrong_width() {
         let net = small_network(5);
-        let mut tape = Tape::new();
         let x = Matrix::zeros(2, 9);
-        assert!(matches!(
-            net.bind(&mut tape, &x),
-            Err(CoreError::InputWidthMismatch {
+        let is_mismatch = |e: CoreError| {
+            e == CoreError::InputWidthMismatch {
                 expected: 4,
-                got: 9
-            })
-        ));
+                got: 9,
+            }
+        };
+        assert!(net.encode(&x).is_err_and(is_mismatch));
+        // A batch encoded by a wider network is refused too.
+        let (act, neg) = smoke_parts().clone();
+        let mut rng = lrng::seeded(5);
+        let wide = PrintedNetwork::new(9, 3, NetworkConfig::default(), act, neg, &mut rng).unwrap();
+        let batch = wide.encode(&x).unwrap();
+        assert!(net.bind(&mut Tape::new(), &batch).is_err_and(is_mismatch));
+        assert!(net.predict_batch(&batch).is_err_and(is_mismatch));
     }
 
     #[test]
@@ -609,7 +744,7 @@ mod tests {
         let net = small_network(6);
         let x = lrng::uniform_matrix(&mut lrng::seeded(7), 10, 4, -0.8, 0.8);
         let mut tape = Tape::new();
-        let bound = net.bind(&mut tape, &x).unwrap();
+        let bound = net.bind(&mut tape, &net.encode(&x).unwrap()).unwrap();
         let soft_power = tape.scalar(bound.power);
         let hard = net.power_report(&x).unwrap();
         assert!(soft_power > 0.0);
@@ -641,7 +776,7 @@ mod tests {
         let x = lrng::uniform_matrix(&mut lrng::seeded(10), 6, 4, -0.8, 0.8);
         let labels = vec![0, 1, 2, 0, 1, 2];
         let mut tape = Tape::new();
-        let bound = net.bind(&mut tape, &x).unwrap();
+        let bound = net.bind(&mut tape, &net.encode(&x).unwrap()).unwrap();
         let ce = tape.softmax_cross_entropy(bound.logits, &labels);
         let pw_scaled = tape.mul_scalar(bound.power, 1e3);
         let loss = tape.add(ce, pw_scaled);
@@ -709,7 +844,7 @@ mod tests {
         assert!(logits.all_finite());
         // Gradients flow through all six parameter matrices.
         let mut tape = Tape::new();
-        let bound = net.bind(&mut tape, &x).unwrap();
+        let bound = net.bind(&mut tape, &net.encode(&x).unwrap()).unwrap();
         let loss = tape.softmax_cross_entropy(bound.logits, &[0, 1, 0, 1]);
         let pw = tape.mul_scalar(bound.power, 1e3);
         let total = tape.add(loss, pw);

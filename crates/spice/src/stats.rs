@@ -125,6 +125,14 @@ pub fn newton_iteration_summary() -> HistogramSummary {
 
 /// Summary of per-solve wall-clock time (milliseconds) accumulated
 /// since the last [`take`] or [`reset`].
+///
+/// A planned solve ([`crate::dc::solve_dc_planned`]) is timed whole:
+/// its block guess, the arrival check and any whole-circuit Newton
+/// that follows. Block plans start every exported-network row solve,
+/// and the guess is most of such a solve's time. Before block plans
+/// the same rows timed whole-circuit Newton only, so a comparison
+/// across their introduction reads the caller's own timer (perfbench's
+/// `core.simulate_ms`), not this summary.
 pub fn solve_time_summary() -> HistogramSummary {
     SOLVE_TIME_MS.summary()
 }
@@ -136,7 +144,9 @@ pub fn newton_iteration_histogram() -> StreamHistogram {
 }
 
 /// A live handle onto the per-solve wall-time histogram (clones share
-/// storage), for merging into a metrics registry.
+/// storage), for merging into a metrics registry. What one sample
+/// covers is as for [`solve_time_summary`]: a planned solve's block
+/// guess included.
 pub fn solve_time_histogram() -> StreamHistogram {
     SOLVE_TIME_MS.clone()
 }

@@ -317,7 +317,7 @@ mod tests {
         let net = tiny_network(4, 3, 73);
         let x = pnc_linalg::rng::uniform_matrix(&mut pnc_linalg::rng::seeded(1), 5, 4, -0.5, 0.5);
         let mut tape = Tape::new();
-        let bound = net.bind(&mut tape, &x).unwrap();
+        let bound = net.bind(&mut tape, &net.encode(&x).unwrap()).unwrap();
         let soft = soft_device_total(&mut tape, &bound, &net);
         let soft_v = tape.scalar(soft);
         let hard = net.device_count() as f64;

@@ -10,7 +10,7 @@ use crate::error::{non_finite_what, TrainError};
 use crate::observer::{NoopObserver, TrainObserver};
 use pnc_autodiff::optim::clip_grad_norm;
 use pnc_autodiff::{Adam, Optimizer, Tape, Var};
-use pnc_core::network::BoundNetwork;
+use pnc_core::network::{Batch, BoundNetwork};
 use pnc_core::{CoreError, PrintedNetwork};
 use pnc_linalg::Matrix;
 use pnc_telemetry::{Profiler, Stopwatch};
@@ -132,14 +132,15 @@ pub struct FitReport {
 pub type ObjectiveFn<'f> = dyn Fn(&mut Tape, &BoundNetwork, Var) -> Var + 'f;
 
 /// The iterate a [`MeasureFn`] judges: the network
-/// after one update, plus the crossbar input of every layer when the
-/// training forward at these parameters recorded them. Pricing it then
-/// costs no forward pass.
+/// after one update, plus every layer's crossbar drive (augmented input
+/// and its negation) when the training forward at these parameters
+/// recorded them. Pricing it then costs no forward pass and no
+/// negation.
 #[derive(Debug)]
 pub struct Iterate<'a> {
     net: &'a PrintedNetwork,
     x_train: &'a Matrix,
-    layer_inputs: Option<Vec<&'a Matrix>>,
+    drives: Option<Vec<(&'a Matrix, &'a Matrix)>>,
 }
 
 impl<'a> Iterate<'a> {
@@ -149,7 +150,7 @@ impl<'a> Iterate<'a> {
         Iterate {
             net,
             x_train,
-            layer_inputs: None,
+            drives: None,
         }
     }
 
@@ -160,15 +161,15 @@ impl<'a> Iterate<'a> {
 
     /// Hard (indicator-count) power on the training inputs, bit-identical
     /// to [`crate::auglag::hard_power`]: priced from the recorded layer
-    /// inputs when there are some, else from a plain forward.
+    /// drives when there are some, else from a plain forward.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InputWidthMismatch`] when the training
     /// inputs disagree with the network topology.
     pub fn hard_power(&self) -> Result<f64, CoreError> {
-        let report = match &self.layer_inputs {
-            Some(inputs) => self.net.power_report_from(inputs)?,
+        let report = match &self.drives {
+            Some(drives) => self.net.power_report_from(drives)?,
             None => self.net.power_report(self.x_train)?,
         };
         Ok(report.total())
@@ -254,7 +255,9 @@ struct Step {
 /// Best-model selection and the plateau schedule: the bookkeeping that
 /// settles each step's iterate.
 struct Selection<'a> {
-    data: DataRefs<'a>,
+    /// Validation features, encoded once per fit.
+    val: Batch,
+    y_val: &'a [usize],
     cfg: &'a TrainConfig,
     measure: &'a MeasureFn<'a>,
     ctx: &'a FitContext,
@@ -288,10 +291,10 @@ impl Selection<'_> {
         let net = it.network();
         let (val_acc, val_loss) = {
             let _validate = self.prof.scope("validate");
-            let val_logits = net.predict(self.data.x_val)?;
+            let val_logits = net.predict_batch(&self.val)?;
             (
-                pnc_autodiff::functional::accuracy(&val_logits, self.data.y_val),
-                pnc_autodiff::functional::cross_entropy(&val_logits, self.data.y_val),
+                pnc_autodiff::functional::accuracy(&val_logits, self.y_val),
+                pnc_autodiff::functional::cross_entropy(&val_logits, self.y_val),
             )
         };
         let measured = {
@@ -350,9 +353,11 @@ impl Selection<'_> {
 /// pass [`NoopObserver`] and `&FitContext::default()`;
 /// the observer never changes training.
 ///
-/// One tape forward per epoch serves both the gradient and the hard
-/// power: the forward at θₜ₊₁ first settles step `t` (validation,
-/// measurement from the recorded layer inputs, best-model tracking,
+/// Both splits are encoded once per fit ([`PrintedNetwork::encode`]):
+/// every epoch's forward and validation read the same first-crossbar
+/// drive. One tape forward per epoch serves both the gradient and the
+/// hard power: the forward at θₜ₊₁ first settles step `t` (validation,
+/// measurement from the recorded layer drives, best-model tracking,
 /// observer callbacks, plateau rule) and then backpropagates step
 /// `t + 1`. When the epochs run out, the last iterate is priced with a
 /// plain forward instead; when the plateau rule stops the run, the
@@ -383,9 +388,11 @@ pub fn fit_instrumented(
     let metrics = observer.metrics();
     let forward_ms = metrics.histogram("tape_forward_ms");
     let backward_ms = metrics.histogram("tape_backward_ms");
+    let train = net.encode(data.x_train)?;
     let mut opt = Adam::with_lr(cfg.lr);
     let mut sel = Selection {
-        data: *data,
+        val: net.encode(data.x_val)?,
+        y_val: data.y_val,
         cfg,
         measure,
         ctx,
@@ -408,7 +415,7 @@ pub fn fit_instrumented(
         let (bound, total) = {
             let mut fwd = prof.scope("tape_forward");
             let _fwd_sample = forward_ms.start_sample();
-            let bound = net.bind(&mut tape, data.x_train)?;
+            let bound = net.bind(&mut tape, &train)?;
             let ce = tape.softmax_cross_entropy(bound.logits, data.y_train);
             let total = objective(&mut tape, &bound, ce);
             fwd.set_u64("nodes", tape.len() as u64);
@@ -418,7 +425,13 @@ pub fn fit_instrumented(
             let it = Iterate {
                 net,
                 x_train: data.x_train,
-                layer_inputs: Some(bound.layer_inputs.iter().map(|&v| tape.value(v)).collect()),
+                drives: Some(
+                    bound
+                        .layers
+                        .iter()
+                        .map(|l| (tape.value(l.crossbar.x_aug), tape.value(l.crossbar.x_neg)))
+                        .collect(),
+                ),
             };
             if !sel.settle(&it, step, &mut opt, observer)? {
                 break;

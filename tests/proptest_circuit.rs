@@ -30,10 +30,12 @@ proptest! {
         // Normalized Kirchhoff mixing of voltages in [−1, 1] (plus the
         // 1 V bias) can never leave [−1, 1].
         let neg = NegationModel::ideal(1e-5);
+        let (xa, xn) = crossbar::encode(&x, &neg);
         let mut tape = Tape::new();
-        let xv = tape.constant(x);
+        let xa = tape.constant(xa);
+        let xn = tape.constant(xn);
         let tv = tape.parameter(theta);
-        let out = crossbar::forward(&mut tape, xv, tv, &neg, None);
+        let out = crossbar::forward(&mut tape, xa, xn, tv, None);
         let vz = tape.value(out.vz);
         prop_assert!(vz.min() >= -1.0 - 1e-9 && vz.max() <= 1.0 + 1e-9, "{vz:?}");
     }
