@@ -36,6 +36,18 @@ pub struct Lu {
     sign: f64,
 }
 
+impl Default for Lu {
+    /// The factors of the empty `0 × 0` matrix: storage for
+    /// [`Lu::refactor`] to fill.
+    fn default() -> Self {
+        Lu {
+            lu: Matrix::default(),
+            perm: Vec::new(),
+            sign: 1.0,
+        }
+    }
+}
+
 impl Lu {
     /// Factorizes a square matrix.
     ///
@@ -45,13 +57,30 @@ impl Lu {
     /// [`LinalgError::Singular`] when a pivot underflows the singularity
     /// threshold.
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
+        let mut lu = Lu::default();
+        lu.refactor(a)?;
+        Ok(lu)
+    }
+
+    /// Factorizes `a` in place of the current factors, reusing their
+    /// storage: a Newton loop refactors one `Lu` every iteration
+    /// without allocating once its dimension has been seen. The
+    /// factors equal [`Lu::new`]'s bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lu::new`]. After an error the factors are meaningless until
+    /// the next successful refactor.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<(), LinalgError> {
         if a.rows() != a.cols() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
         let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
+        let Lu { lu, perm, sign } = self;
+        lu.clone_from(a);
+        perm.clear();
+        perm.extend(0..n);
+        *sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: find the largest |entry| in column k.
@@ -74,7 +103,7 @@ impl Lu {
                     lu[(p, j)] = tmp;
                 }
                 perm.swap(k, p);
-                sign = -sign;
+                *sign = -*sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -89,7 +118,14 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(())
+    }
+
+    /// The packed factors (`L` below the diagonal with its unit
+    /// diagonal implicit, `U` on and above it) and the row permutation:
+    /// `perm[i]` is the original row stored at row `i`.
+    pub fn factors(&self) -> (&Matrix, &[usize]) {
+        (&self.lu, &self.perm)
     }
 
     /// Dimension of the factorized matrix.
@@ -103,8 +139,20 @@ impl Lu {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when `b.len()` differs from
     /// the factorized dimension.
-    #[allow(clippy::needless_range_loop)] // index loops mirror the textbook algorithm
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut x = Vec::new();
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` into `x`, reusing its storage: the result equals
+    /// [`Lu::solve`]'s bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lu::solve`]; `x` is left untouched then.
+    #[allow(clippy::needless_range_loop)] // index loops mirror the textbook algorithm
+    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), LinalgError> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -114,7 +162,8 @@ impl Lu {
             });
         }
         // Apply permutation and forward-substitute through L.
-        let mut x: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
+        x.clear();
+        x.extend(self.perm.iter().map(|&p| b[p]));
         for i in 1..n {
             let mut acc = x[i];
             for j in 0..i {
@@ -130,7 +179,7 @@ impl Lu {
             }
             x[i] = acc / self.lu[(i, i)];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Solves `Aᵀ·x = b` reusing the factors of `A` (`P·A = L·U`, so

@@ -45,7 +45,8 @@ pub fn argmax(values: &[f64]) -> usize {
     best
 }
 
-/// A dense, row-major matrix of `f64` values.
+/// A dense, row-major matrix of `f64` values. `Matrix::default()` is
+/// the empty `0 × 0` matrix.
 ///
 /// # Examples
 ///
@@ -57,11 +58,29 @@ pub fn argmax(values: &[f64]) -> usize {
 /// assert_eq!(m[(1, 2)], 6.0);
 /// assert_eq!(m.transpose().shape(), (3, 2));
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s storage, which grows only when it
+    /// has room for fewer elements than `source` holds.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -366,6 +385,16 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self
+    }
+
+    /// Makes `self` a `rows × cols` matrix of zeros in its own storage,
+    /// which grows only when it has room for fewer than `rows · cols`
+    /// elements.
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
     }
 
     // ------------------------------------------------------------------

@@ -207,6 +207,8 @@ impl BlockPlan {
         let start = start.filter(|s| s.len() == n);
         let mut x = vec![0.0; n];
         let mut local = Vec::new();
+        // One workspace serves every block.
+        let mut lin = Linear::default();
         let mut iterations = 0;
         for (b, block) in self.blocks.iter().enumerate() {
             local.clear();
@@ -217,7 +219,7 @@ impl BlockPlan {
                 circuit,
                 x: &mut x,
             };
-            match newton_attempt(eqs, &mut local, &cfg, None) {
+            match newton_attempt(eqs, &mut local, &cfg, None, &mut lin) {
                 Ok((iters, _)) => iterations += iters,
                 Err(SpiceError::NonConvergence { iterations: i, .. }) => {
                     return (None, iterations + i)
@@ -276,24 +278,22 @@ impl Equations for BlockEquations<'_> {
     /// Stamps, in the whole circuit's order, GMIN on the block's KCL
     /// rows and every element contributing to its rows, so each entry
     /// sums its terms as the whole-circuit assembly does.
-    fn assemble(&mut self, local: &[f64], lin: &mut Linear, f: &mut Vec<f64>) {
+    fn assemble(&mut self, local: &[f64], lin: &mut Linear) {
         let (plan, b) = (self.plan, self.block);
         let block = &plan.blocks[b];
         for (&c, &v) in block.cols.iter().zip(local) {
             self.x[c] = v;
         }
-        let k = block.cols.len();
-        f.clear();
-        f.resize(k, 0.0);
+        let (jacobian, residual) = lin.zeroed(block.cols.len());
         let mut j = BlockSink {
             plan,
             block: b,
-            out: lin.zeroed_jacobian(k),
+            out: jacobian,
         };
         let mut r = BlockSink {
             plan,
             block: b,
-            out: f.as_mut_slice(),
+            out: residual,
         };
         for &row in &block.rows[..block.heads.0] {
             stamp_gmin(row, self.x, &mut j, &mut r);

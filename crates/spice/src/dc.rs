@@ -2,7 +2,7 @@
 //! ramping as a homotopy fallback.
 
 use crate::block::BlockPlan;
-use crate::mna::{assemble, assemble_into, node_voltage, unknown_count, JacobianSink};
+use crate::mna::{assemble_into, node_voltage, unknown_count, JacobianSink};
 use crate::netlist::{Circuit, Element};
 use crate::{observe, stats, SpiceError};
 use pnc_linalg::cond::cond1_estimate;
@@ -105,39 +105,41 @@ impl OperatingPoint {
     }
 }
 
-/// The dense linear algebra under one Newton attempt: the Jacobian the
-/// last assembly stamped and its LU factors, fresh every iteration.
-/// Both live in the attempt's frame — nothing per-solve is shared
-/// across threads.
+/// The workspace of one DC solve: the Jacobian and residual the last
+/// assembly stamped, the Jacobian's LU factors, the negated residual
+/// and the Newton step. Every Newton iteration of the solve — across
+/// blocks, the plain attempt and each ramp stage — refills the same
+/// storage, which grows to the largest system seen and is then never
+/// reallocated. A workspace lives for one solve in its caller's frame;
+/// no thread shares it.
+#[derive(Default)]
 pub(crate) struct Linear {
     jacobian: Matrix,
-    lu: Option<Lu>,
+    residual: Vec<f64>,
+    lu: Lu,
+    neg_residual: Vec<f64>,
+    step: Vec<f64>,
 }
 
 impl Linear {
-    fn new() -> Self {
-        Linear {
-            jacobian: Matrix::zeros(0, 0),
-            lu: None,
-        }
+    /// A zeroed `k × k` Jacobian and length-`k` residual for the caller
+    /// to assemble into.
+    pub(crate) fn zeroed(&mut self, k: usize) -> (&mut Matrix, &mut [f64]) {
+        self.jacobian.resize_zeroed(k, k);
+        self.residual.clear();
+        self.residual.resize(k, 0.0);
+        (&mut self.jacobian, &mut self.residual)
     }
 
-    /// A zeroed `k × k` Jacobian for [`Self::solve`] to factor,
-    /// assembled by the caller; reuses the previous one's storage.
-    pub(crate) fn zeroed_jacobian(&mut self, k: usize) -> &mut Matrix {
-        if self.jacobian.shape() == (k, k) {
-            self.jacobian.as_mut_slice().fill(0.0);
-        } else {
-            self.jacobian = Matrix::zeros(k, k);
-        }
-        &mut self.jacobian
-    }
-
-    /// Factors the assembled Jacobian and solves `J·dx = rhs`.
-    fn solve(&mut self, rhs: &[f64]) -> Result<Vec<f64>, SpiceError> {
+    /// Factors the assembled Jacobian and solves `J·step = −residual`.
+    fn solve(&mut self) -> Result<(), SpiceError> {
         let singular = |_| SpiceError::SingularMatrix;
-        let lu = self.lu.insert(Lu::new(&self.jacobian).map_err(singular)?);
-        lu.solve(rhs).map_err(singular)
+        self.lu.refactor(&self.jacobian).map_err(singular)?;
+        self.neg_residual.clear();
+        self.neg_residual.extend(self.residual.iter().map(|r| -r));
+        self.lu
+            .solve_into(&self.neg_residual, &mut self.step)
+            .map_err(singular)
     }
 
     /// `(dimension, structural non-zeros)` of the Jacobian: the
@@ -149,11 +151,9 @@ impl Linear {
         (j.rows(), nnz)
     }
 
-    /// Conditioning estimate from the factors the step already paid
-    /// for.
+    /// Conditioning estimate from the factors the last step paid for.
     fn cond1_estimate(&self) -> Option<f64> {
-        let lu = self.lu.as_ref()?;
-        cond1_estimate(&self.jacobian, lu).ok()
+        cond1_estimate(&self.jacobian, &self.lu).ok()
     }
 }
 
@@ -165,8 +165,9 @@ pub(crate) trait Equations {
     /// first `kcl_rows` equations and damps the first `voltages` steps.
     fn heads(&self) -> (usize, usize);
 
-    /// Assembles at `x`: the Jacobian into `lin`, the residual into `f`.
-    fn assemble(&mut self, x: &[f64], lin: &mut Linear, f: &mut Vec<f64>);
+    /// Assembles the Jacobian and residual at `x` into `lin`
+    /// ([`Linear::zeroed`]).
+    fn assemble(&mut self, x: &[f64], lin: &mut Linear);
 }
 
 impl Equations for &Circuit {
@@ -175,10 +176,9 @@ impl Equations for &Circuit {
         (n_nodes, n_nodes)
     }
 
-    fn assemble(&mut self, x: &[f64], lin: &mut Linear, f: &mut Vec<f64>) {
-        let sys = assemble(self, x);
-        lin.jacobian = sys.jacobian;
-        *f = sys.residual;
+    fn assemble(&mut self, x: &[f64], lin: &mut Linear) {
+        let (j, f) = lin.zeroed(x.len());
+        assemble_into(self, x, j, f);
     }
 }
 
@@ -187,31 +187,30 @@ fn inf_norm(v: &[f64]) -> f64 {
     v.iter().fold(0.0f64, |m, r| m.max(r.abs()))
 }
 
-/// One damped Newton descent of `eqs` on dense LU. Returns
-/// `(iterations, residual)` on convergence; the residual is the KCL
-/// norm that passed the test.
+/// One damped Newton descent of `eqs` on dense LU in the caller's
+/// workspace `lin`. Returns `(iterations, residual)` on convergence;
+/// the residual is the KCL norm that passed the test.
 pub(crate) fn newton_attempt(
     mut eqs: impl Equations,
     x: &mut [f64],
     cfg: &SolverConfig,
     mut cap: Option<&mut observe::AttemptCapture>,
+    lin: &mut Linear,
 ) -> Result<(usize, f64), SpiceError> {
     let (kcl_rows, voltages) = eqs.heads();
-    let mut lin = Linear::new();
-    let mut f = vec![0.0; x.len()];
     for iter in 0..cfg.max_iterations {
-        eqs.assemble(x, &mut lin, &mut f);
-        let max_resid = inf_norm(&f[..kcl_rows]);
+        eqs.assemble(x, lin);
+        let max_resid = inf_norm(&lin.residual[..kcl_rows]);
         // Converged on arrival: every equation — including the linear
         // source rows, which a warm start from a different sweep point
         // leaves violated — is satisfied at `x`, so the step would be
         // ~0 and the factorization pure confirmation. Well-predicted
         // warm starts land here one iteration early.
-        if inf_norm(&f) < cfg.residual_tol_amps {
+        if inf_norm(&lin.residual) < cfg.residual_tol_amps {
             return Ok((iter, max_resid));
         }
-        let neg_f: Vec<f64> = f.iter().map(|r| -r).collect();
-        let dx = lin.solve(&neg_f)?;
+        lin.solve()?;
+        let dx = &lin.step;
 
         // Damping: limit voltage updates; currents move freely.
         let max_dv = inf_norm(&dx[..voltages]);
@@ -229,7 +228,7 @@ pub(crate) fn newton_attempt(
                 scale < 1.0,
             );
         }
-        for (xi, di) in x.iter_mut().zip(&dx) {
+        for (xi, di) in x.iter_mut().zip(dx) {
             *xi += scale * di;
         }
 
@@ -237,10 +236,10 @@ pub(crate) fn newton_attempt(
             return Ok((iter + 1, max_resid));
         }
     }
-    eqs.assemble(x, &mut lin, &mut f);
+    eqs.assemble(x, lin);
     Err(SpiceError::NonConvergence {
         iterations: cfg.max_iterations,
-        residual: inf_norm(&f[..kcl_rows]),
+        residual: inf_norm(&lin.residual[..kcl_rows]),
     })
 }
 
@@ -462,9 +461,11 @@ fn solve_dc_inner(
         _ => vec![0.0; n],
     };
 
-    // Attempt 1: plain Newton from the guess.
+    // Attempt 1: plain Newton from the guess. It and every ramp stage
+    // share one workspace.
+    let mut lin = Linear::default();
     let mut total_iters = 0usize;
-    match newton_attempt(circuit, &mut x, cfg, cap.as_deref_mut()) {
+    match newton_attempt(circuit, &mut x, cfg, cap.as_deref_mut(), &mut lin) {
         Ok((iters, residual)) => {
             return Ok((
                 OperatingPoint::from_state(&x, n_nodes, iters, residual),
@@ -502,7 +503,7 @@ fn solve_dc_inner(
         if let Some(c) = cap.as_deref_mut() {
             c.mark_ramp_stage();
         }
-        match newton_attempt(&ramped, &mut x, cfg, cap.as_deref_mut()) {
+        match newton_attempt(&ramped, &mut x, cfg, cap.as_deref_mut(), &mut lin) {
             Ok((iters, residual)) => {
                 total_iters += iters;
                 final_residual = residual;

@@ -58,12 +58,10 @@ pub(crate) trait JacobianSink {
     fn add(&mut self, row: usize, col: usize, v: f64);
 }
 
-/// Dense sink: stamps straight into a [`Matrix`].
-struct DenseSink<'a>(&'a mut Matrix);
-
-impl JacobianSink for DenseSink<'_> {
+/// Dense sink: stamps straight into the matrix.
+impl JacobianSink for Matrix {
     fn add(&mut self, row: usize, col: usize, v: f64) {
-        self.0[(row, col)] += v;
+        self[(row, col)] += v;
     }
 }
 
@@ -76,7 +74,7 @@ pub fn assemble(circuit: &Circuit, x: &[f64]) -> NewtonSystem {
     let n = unknown_count(circuit);
     let mut j = Matrix::zeros(n, n);
     let mut f = vec![0.0; n];
-    assemble_into(circuit, x, &mut DenseSink(&mut j), &mut f);
+    assemble_into(circuit, x, &mut j, &mut f);
     NewtonSystem {
         jacobian: j,
         residual: f,
