@@ -706,7 +706,8 @@ impl SolveTrace {
             ramp_marks: f64_arr("ramp_marks")?.iter().map(|&m| m as usize).collect(),
             node_count: u("node_count")? as usize,
             // Older traces also carry a `backend` field. It is ignored:
-            // replay re-applies the circuit-size rule.
+            // replay runs dense Newton on the whole circuit, whatever
+            // its size.
             config: SolverConfig {
                 max_iterations: u("max_iterations")? as usize,
                 residual_tol_amps: f("residual_tol_amps")?,

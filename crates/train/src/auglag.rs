@@ -23,12 +23,17 @@
 //! Between outer iterations the parameters are warm-started with the
 //! previous solution, exactly as the paper prescribes ("to save
 //! computation time, θ and q should be warmstarted").
+//!
+//! The same outer loop, one multiplier per constraint, serves
+//! [`crate::multi::train_multi_constraint`]; only the power budget here
+//! is followed by a feasibility rescue.
 
 use crate::error::TrainError;
+use crate::multi::{epoch_measure, normalized, ConstraintKind, MultiConstraintConfig, SoftCount};
 use crate::observer::{RescueEvent, TrainObserver};
-use crate::trainer::{
-    fit_instrumented, DataRefs, EpochMeasure, FitContext, FitReport, Iterate, TrainConfig,
-};
+use crate::trainer::{fit_instrumented, DataRefs, FitContext, FitReport, Iterate, TrainConfig};
+use pnc_autodiff::{Tape, Var};
+use pnc_core::network::BoundNetwork;
 use pnc_core::{CoreError, PrintedNetwork};
 use pnc_linalg::Matrix;
 
@@ -82,13 +87,15 @@ impl AugLagConfig {
 /// One outer iteration's bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OuterIterRecord {
-    /// Multiplier estimate entering the iteration.
+    /// Multiplier estimate entering the iteration, of the constraint
+    /// that `constraint` reports.
     pub lambda: f64,
     /// Penalty weight μ used for the iteration.
     pub mu: f64,
     /// Hard (indicator-count) power after the inner solve, watts.
     pub power_watts: f64,
-    /// Normalized constraint value `P/P̄ − 1`.
+    /// Largest normalized constraint value `max_k c_k` after the inner
+    /// solve: `P/P̄ − 1` for a power budget alone.
     pub constraint: f64,
     /// Validation accuracy after the inner solve.
     pub val_accuracy: f64,
@@ -125,29 +132,125 @@ pub fn hard_power(net: &PrintedNetwork, x: &Matrix) -> Result<f64, CoreError> {
     Ok(net.power_report(x)?.total())
 }
 
-/// Infallible per-epoch measurement for the training loop, priced from
-/// the iterate's recorded forward: a shape mismatch (impossible once
-/// the fit loop has bound the same inputs) degrades to "infeasible, no
-/// power reading" instead of panicking.
-fn measure_hard_power(it: &Iterate<'_>, budget: f64) -> EpochMeasure {
-    match it.hard_power() {
-        Ok(p) => EpochMeasure {
-            power_watts: Some(p),
-            feasible: p <= budget,
-        },
-        Err(_) => EpochMeasure {
-            power_watts: None,
-            feasible: false,
-        },
+/// The augmented Lagrangian outer loop over `cfg.constraints`, one
+/// multiplier `λ_k` each: every iteration minimizes
+/// `ℒ + Σ_k (1/2μ)(max(0, λ_k + μ·c_k)² − λ_k²)`, then updates
+/// `λ_k ← max(0, λ_k + μ·c_k)` on the hard violations, and the iterate
+/// best under `(max_k c_k ≤ 0, validation accuracy)` is restored at the
+/// end. Inner epochs carry the power constraint's `λ` and budget, if
+/// any. Returns the outer records, the final multipliers and whether
+/// the restored iterate satisfied every constraint.
+///
+/// # Panics
+///
+/// Panics when `μ` is not positive.
+pub(crate) fn outer_loop(
+    net: &mut PrintedNetwork,
+    data: &DataRefs<'_>,
+    cfg: &MultiConstraintConfig,
+    warm_start: bool,
+    observer: &mut dyn TrainObserver,
+) -> Result<(Vec<OuterIterRecord>, Vec<f64>, bool), TrainError> {
+    assert!(cfg.mu > 0.0, "mu must be positive");
+
+    let (constraints, mu) = (&cfg.constraints, cfg.mu);
+    let prof = observer.profiler();
+    let soft = SoftCount::of(net);
+    let power = constraints
+        .iter()
+        .position(|c| matches!(c, ConstraintKind::Power { .. }));
+    let mut lambdas = vec![0.0f64; constraints.len()];
+    let mut records = Vec::with_capacity(cfg.outer_iters);
+    let mut best_params: Option<Vec<Matrix>> = None;
+    let mut best_key = (false, f64::NEG_INFINITY);
+    let init_params = net.param_values();
+
+    for iter in 0..cfg.outer_iters {
+        let mut outer_scope = prof.scope("outer_iter");
+        outer_scope.set_u64("iter", iter as u64);
+        if !warm_start {
+            net.set_param_values(&init_params);
+        }
+        let objective = |tape: &mut Tape, bound: &BoundNetwork, ce: Var| {
+            let mut total = ce;
+            for (constraint, &lam) in constraints.iter().zip(&lambdas) {
+                let c = constraint.build(tape, bound, &soft);
+                // Ψ = (1/2μ)(max(0, λ + μc)² − λ²)
+                let mu_c = tape.mul_scalar(c, mu);
+                let inner = tape.add_scalar(mu_c, lam);
+                let act = tape.clamp_min(inner, 0.0);
+                let act_sq = tape.square(act);
+                let shifted = tape.add_scalar(act_sq, -(lam * lam));
+                let psi = tape.mul_scalar(shifted, 1.0 / (2.0 * mu));
+                total = tape.add(total, psi);
+            }
+            total
+        };
+        let measure = |it: &Iterate<'_>| epoch_measure(constraints, it);
+        let ctx = FitContext {
+            lambda: power.map(|k| lambdas[k]),
+            mu: Some(mu),
+            budget_watts: power.map(|k| constraints[k].budget()),
+        };
+        let fit = fit_instrumented(net, data, &cfg.inner, &objective, &measure, &ctx, observer)?;
+
+        let it = Iterate::new(net, data.x_train);
+        let values: Vec<f64> = constraints
+            .iter()
+            .map(|c| c.value(&it))
+            .collect::<Result<_, _>>()?;
+        let power_watts = match power {
+            Some(k) => values[k],
+            None => hard_power(net, data.x_train)?,
+        };
+        let violations: Vec<f64> = constraints
+            .iter()
+            .zip(values)
+            .map(|(c, v)| c.normalize(v))
+            .collect();
+        // The most violated constraint, the first of ties.
+        let worst =
+            (1..violations.len()).fold(0, |w, k| if violations[k] > violations[w] { k } else { w });
+        let val_acc = net.accuracy(data.x_val, data.y_val)?;
+        let record = OuterIterRecord {
+            lambda: lambdas[worst],
+            mu,
+            power_watts,
+            constraint: violations[worst],
+            val_accuracy: val_acc,
+            fit,
+        };
+        outer_scope.set_f64("constraint", record.constraint);
+        outer_scope.set_f64("lambda", record.lambda);
+        observer.on_outer_iter(iter, &record);
+        records.push(record);
+
+        // Track the best feasible iterate across outer iterations.
+        let key = (violations[worst] <= 0.0, val_acc);
+        if key > best_key {
+            best_key = key;
+            best_params = Some(net.param_values());
+        }
+
+        // Multiplier update (Eq. 4).
+        for (lam, &c) in lambdas.iter_mut().zip(&violations) {
+            *lam = (*lam + mu * c).max(0.0);
+        }
     }
+
+    if let Some(p) = best_params {
+        net.set_param_values(&p);
+    }
+    Ok((records, lambdas, best_key.0))
 }
 
-/// Runs the augmented Lagrangian method, mutating `net` in place. The
-/// best feasible model across all outer iterations is restored at the
-/// end. The observer receives every inner-loop epoch (stamped with the
-/// outer iteration's λ, μ and the normalized constraint), every
-/// outer-iteration record, and every rescue-phase milestone; pass a
-/// [`crate::observer::NoopObserver`] when nothing listens.
+/// Runs the augmented Lagrangian method under the power budget,
+/// mutating `net` in place. The best feasible model across all outer
+/// iterations is restored at the end. The observer receives every
+/// inner-loop epoch (stamped with the outer iteration's λ, μ and the
+/// normalized constraint), every outer-iteration record, and every
+/// rescue-phase milestone; pass a [`crate::observer::NoopObserver`]
+/// when nothing listens.
 ///
 /// # Errors
 ///
@@ -165,213 +268,123 @@ pub fn train_auglag_observed(
     observer: &mut dyn TrainObserver,
 ) -> Result<AugLagReport, TrainError> {
     assert!(cfg.budget_watts > 0.0, "budget must be positive");
-    assert!(cfg.mu > 0.0, "mu must be positive");
-
-    let prof = observer.profiler();
-    let mut lambda = 0.0f64;
-    let mut outer = Vec::with_capacity(cfg.outer_iters);
-    let mut best_params: Option<Vec<Matrix>> = None;
-    let mut best_key = (false, f64::NEG_INFINITY);
-    let init_params = net.param_values();
-
-    for iter in 0..cfg.outer_iters {
-        let mut outer_scope = prof.scope("outer_iter");
-        outer_scope.set_u64("iter", iter as u64);
-        if !cfg.warm_start {
-            net.set_param_values(&init_params);
-        }
-        let lam = lambda;
-        let budget = cfg.budget_watts;
-        let mu = cfg.mu;
-
-        let objective = move |tape: &mut pnc_autodiff::Tape,
-                              bound: &pnc_core::network::BoundNetwork,
-                              ce: pnc_autodiff::Var| {
-            // c = P/P̄ − 1 on the differentiable (soft-count) power.
-            let ratio = tape.mul_scalar(bound.power, 1.0 / budget);
-            let c = tape.add_scalar(ratio, -1.0);
-            // Ψ = (1/2μ)(max(0, λ + μc)² − λ²)
-            let mu_c = tape.mul_scalar(c, mu);
-            let inner = tape.add_scalar(mu_c, lam);
-            let act = tape.clamp_min(inner, 0.0);
-            let act_sq = tape.square(act);
-            let shifted = tape.add_scalar(act_sq, -(lam * lam));
-            let psi = tape.mul_scalar(shifted, 1.0 / (2.0 * mu));
-            tape.add(ce, psi)
-        };
-        // One hard-power evaluation per epoch serves both feasibility
-        // tracking and telemetry.
-        let measure = move |it: &Iterate<'_>| measure_hard_power(it, budget);
-        let ctx = FitContext {
-            lambda: Some(lam),
-            mu: Some(mu),
-            budget_watts: Some(budget),
-        };
-        let fit_report =
-            fit_instrumented(net, data, &cfg.inner, &objective, &measure, &ctx, observer)?;
-
-        let p = hard_power(net, data.x_train)?;
-        let c = p / cfg.budget_watts - 1.0;
-        let val_acc = net.accuracy(data.x_val, data.y_val)?;
-        let record = OuterIterRecord {
-            lambda,
-            mu,
-            power_watts: p,
-            constraint: c,
-            val_accuracy: val_acc,
-            fit: fit_report,
-        };
-        outer_scope.set_f64("constraint", c);
-        outer_scope.set_f64("lambda", lambda);
-        observer.on_outer_iter(iter, &record);
-        outer.push(record);
-
-        // Track the best feasible iterate across outer iterations.
-        let key = (c <= 0.0, val_acc);
-        if key > best_key {
-            best_key = key;
-            best_params = Some(net.param_values());
-        }
-
-        // Multiplier update (Eq. 4).
-        lambda = (lambda + cfg.mu * c).max(0.0);
-    }
-
-    if let Some(p) = best_params {
-        net.set_param_values(&p);
-    }
-
-    // Feasibility restoration: if no outer iterate satisfied the
-    // budget, push power down hard until one does. Quadratic exterior
-    // penalty with a large weight keeps some accuracy pressure (the CE
-    // term stays) while making violation dominate the objective.
-    let mut rescued = false;
-    if cfg.rescue && !best_key.0 {
-        rescued = true;
-        let _rescue_scope = prof.scope("rescue");
-        let budget = cfg.budget_watts;
-        let rescue_measure = move |it: &Iterate<'_>| measure_hard_power(it, budget);
-        let rescue_ctx = FitContext {
-            lambda: None,
-            mu: None,
-            budget_watts: Some(budget),
-        };
-        observer.on_rescue(&RescueEvent {
-            stage: "start",
-            round: 0,
-            power_watts: hard_power(net, data.x_train)?,
-            budget_watts: budget,
-        });
-
-        // Stage 1: escalating exterior penalties. Each round multiplies
-        // the violation weight by 10; most runs become feasible in the
-        // first round.
-        for round in 0..3 {
-            if hard_power(net, data.x_train)? <= budget {
-                break;
-            }
-            let kappa = 200.0 * 10f64.powi(round);
-            let rescue_objective = move |tape: &mut pnc_autodiff::Tape,
-                                         bound: &pnc_core::network::BoundNetwork,
-                                         ce: pnc_autodiff::Var| {
-                let ratio = tape.mul_scalar(bound.power, 1.0 / budget);
-                let c = tape.add_scalar(ratio, -1.0);
-                let viol = tape.clamp_min(c, 0.0);
-                let sq = tape.square(viol);
-                let pen = tape.mul_scalar(sq, kappa);
-                // Plus a gentle pull below the budget so the solution
-                // lands safely inside, not on, the boundary.
-                let slack = tape.mul_scalar(ratio, 0.05);
-                let t = tape.add(ce, pen);
-                tape.add(t, slack)
-            };
-            fit_instrumented(
-                net,
-                data,
-                &cfg.inner,
-                &rescue_objective,
-                &rescue_measure,
-                &rescue_ctx,
-                observer,
-            )?;
-            observer.on_rescue(&RescueEvent {
-                stage: "penalty_round",
-                round: round as usize,
-                power_watts: hard_power(net, data.x_train)?,
-                budget_watts: budget,
-            });
-        }
-
-        // Stage 2: deterministic shrink projection. Scaling every
-        // surrogate conductance toward zero drives power to (near)
-        // zero — below the counting threshold no activation or negation
-        // circuit is printed at all — so this always terminates
-        // feasible; a short CE fit then recovers accuracy without
-        // leaving the feasible set.
-        let mut guard = 0;
-        while hard_power(net, data.x_train)? > budget && guard < 400 {
-            let mut values = net.param_values();
-            let half = values.len() / 2;
-            for v in values.iter_mut().take(half) {
-                // Θ only: once every |θ| falls below the counting
-                // threshold, the activation and negation circuits stop
-                // being printed and the crossbar dissipation vanishes,
-                // so power provably goes to ~0.
-                v.map_inplace(|x| x * 0.85);
-            }
-            net.set_param_values(&values);
-            guard += 1;
-        }
-        if guard > 0 {
-            observer.on_rescue(&RescueEvent {
-                stage: "shrink",
-                round: guard,
-                power_watts: hard_power(net, data.x_train)?,
-                budget_watts: budget,
-            });
-            let short = TrainConfig {
-                max_epochs: cfg.inner.max_epochs / 2,
-                ..cfg.inner
-            };
-            fit_instrumented(
-                net,
-                data,
-                &short,
-                &|_t, _b, ce| ce,
-                &rescue_measure,
-                &rescue_ctx,
-                observer,
-            )?;
-            // The fit restores the best iterate under (feasible, acc); if
-            // every training iterate violated, re-project.
-            let mut guard2 = 0;
-            while hard_power(net, data.x_train)? > budget && guard2 < 400 {
-                let mut values = net.param_values();
-                let half = values.len() / 2;
-                for v in values.iter_mut().take(half) {
-                    v.map_inplace(|x| x * 0.85);
-                }
-                net.set_param_values(&values);
-                guard2 += 1;
-            }
-        }
-        observer.on_rescue(&RescueEvent {
-            stage: "done",
-            round: 0,
-            power_watts: hard_power(net, data.x_train)?,
-            budget_watts: budget,
-        });
+    let power_only = MultiConstraintConfig {
+        constraints: vec![ConstraintKind::Power {
+            budget_watts: cfg.budget_watts,
+        }],
+        mu: cfg.mu,
+        outer_iters: cfg.outer_iters,
+        inner: cfg.inner,
+    };
+    let (outer, lambdas, feasible) = outer_loop(net, data, &power_only, cfg.warm_start, observer)?;
+    let rescued = cfg.rescue && !feasible;
+    if rescued {
+        rescue(net, data, cfg, observer)?;
     }
 
     let power = hard_power(net, data.x_train)?;
     Ok(AugLagReport {
         outer,
-        lambda_final: lambda,
+        lambda_final: lambdas[0],
         feasible: power <= cfg.budget_watts,
         power_watts: power,
         val_accuracy: net.accuracy(data.x_val, data.y_val)?,
         rescued,
     })
+}
+
+/// Feasibility restoration, run when no outer iterate satisfied the
+/// budget: push power down hard until one does. Quadratic exterior
+/// penalty with a large weight keeps some accuracy pressure (the CE
+/// term stays) while making violation dominate the objective.
+fn rescue(
+    net: &mut PrintedNetwork,
+    data: &DataRefs<'_>,
+    cfg: &AugLagConfig,
+    observer: &mut dyn TrainObserver,
+) -> Result<(), TrainError> {
+    let _rescue_scope = observer.profiler().scope("rescue");
+    let budget = cfg.budget_watts;
+    let power = [ConstraintKind::Power {
+        budget_watts: budget,
+    }];
+    let measure = |it: &Iterate<'_>| epoch_measure(&power, it);
+    let ctx = FitContext {
+        budget_watts: Some(budget),
+        ..FitContext::default()
+    };
+    let milestone = |obs: &mut dyn TrainObserver, net: &PrintedNetwork, stage, round| {
+        hard_power(net, data.x_train).map(|power_watts| {
+            obs.on_rescue(&RescueEvent {
+                stage,
+                round,
+                power_watts,
+                budget_watts: budget,
+            })
+        })
+    };
+    milestone(observer, net, "start", 0)?;
+
+    // Stage 1: escalating exterior penalties. Each round multiplies
+    // the violation weight by 10; most runs become feasible in the
+    // first round.
+    for round in 0..3 {
+        if hard_power(net, data.x_train)? <= budget {
+            break;
+        }
+        let kappa = 200.0 * 10f64.powi(round);
+        let objective = |tape: &mut Tape, bound: &BoundNetwork, ce: Var| {
+            let (ratio, c) = normalized(tape, bound.power, budget);
+            let viol = tape.clamp_min(c, 0.0);
+            let sq = tape.square(viol);
+            let pen = tape.mul_scalar(sq, kappa);
+            // Plus a gentle pull below the budget so the solution
+            // lands safely inside, not on, the boundary.
+            let slack = tape.mul_scalar(ratio, 0.05);
+            let t = tape.add(ce, pen);
+            tape.add(t, slack)
+        };
+        fit_instrumented(net, data, &cfg.inner, &objective, &measure, &ctx, observer)?;
+        milestone(observer, net, "penalty_round", round as usize)?;
+    }
+
+    // Stage 2: deterministic shrink projection, then a short CE fit
+    // to recover accuracy without leaving the feasible set.
+    let steps = shrink(net, data.x_train, budget)?;
+    if steps > 0 {
+        milestone(observer, net, "shrink", steps)?;
+        let short = TrainConfig {
+            max_epochs: cfg.inner.max_epochs / 2,
+            ..cfg.inner
+        };
+        fit_instrumented(net, data, &short, &|_, _, ce| ce, &measure, &ctx, observer)?;
+        // The fit restores the best iterate under (feasible, acc); if
+        // every training iterate violated, re-project.
+        shrink(net, data.x_train, budget)?;
+    }
+    milestone(observer, net, "done", 0)?;
+    Ok(())
+}
+
+/// The rescue's shrink projection: scales every crossbar conductance θ
+/// by 0.85 until the hard power on `x` fits `budget`, for at most 400
+/// steps; returns the steps taken. Once every |θ| falls below the
+/// counting threshold, the activation and negation circuits stop being
+/// printed and the crossbar dissipation vanishes, so power provably
+/// goes to ~0 and the projection always ends feasible.
+fn shrink(net: &mut PrintedNetwork, x: &Matrix, budget: f64) -> Result<usize, CoreError> {
+    let mut steps = 0;
+    while hard_power(net, x)? > budget && steps < 400 {
+        let mut values = net.param_values();
+        let half = values.len() / 2;
+        // Θ only: the first half of `param_values`.
+        for v in values.iter_mut().take(half) {
+            v.map_inplace(|x| x * 0.85);
+        }
+        net.set_param_values(&values);
+        steps += 1;
+    }
+    Ok(steps)
 }
 
 #[cfg(test)]

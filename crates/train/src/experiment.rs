@@ -18,6 +18,7 @@ use crate::finetune::finetune;
 use crate::observer::{NoopObserver, TrainObserver};
 use crate::penalty::{train_penalty_observed, PenaltyConfig};
 use crate::trainer::{fit_cross_entropy, DataRefs, TrainConfig};
+use crate::tune::best_candidate;
 use pnc_core::activation::{LearnableActivation, SurrogateFidelity};
 use pnc_core::{NetworkConfig, PrintedNetwork};
 use pnc_datasets::{Dataset, DatasetId};
@@ -267,10 +268,10 @@ pub fn run_constrained_tuned(
 ) -> Result<RunResult, TrainError> {
     assert!(!mu_candidates.is_empty(), "need at least one μ candidate");
     // Each μ candidate trains an independent network from the same
-    // seed, so the grid fans out over the executor. Selection folds in
-    // candidate order with a strict `>`, so the first candidate wins
-    // ties exactly as the sequential loop did, for any thread count.
-    let candidates = pnc_parallel::ExecutorHandle::get().par_try_map(mu_candidates, |_, &mu| {
+    // seed, so the grid fans out over the executor. The winner is
+    // picked in candidate order, so the first candidate wins ties for
+    // any thread count.
+    let mut runs = pnc_parallel::ExecutorHandle::get().par_try_map(mu_candidates, |_, &mu| {
         let fid = ExperimentFidelity {
             mu,
             ..fidelity.clone()
@@ -288,18 +289,8 @@ pub fn run_constrained_tuned(
             seed,
         )
     })?;
-    let mut best: Option<RunResult> = None;
-    for candidate in candidates {
-        let better = match &best {
-            None => true,
-            Some(b) => (candidate.feasible, candidate.val_accuracy) > (b.feasible, b.val_accuracy),
-        };
-        if better {
-            best = Some(candidate);
-        }
-    }
-    // lint: allow(L001, reason = "mu_candidates is asserted non-empty above, so best was set")
-    let mut out = best.expect("non-empty candidates");
+    let best = best_candidate(runs.iter().map(|r| (r.feasible, r.val_accuracy)));
+    let mut out = runs.swap_remove(best);
     out.training_runs = mu_candidates.len();
     Ok(out)
 }

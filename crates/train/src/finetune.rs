@@ -14,8 +14,9 @@
 
 use crate::auglag::hard_power;
 use crate::error::TrainError;
+use crate::multi::{epoch_measure, ConstraintKind};
 use crate::observer::NoopObserver;
-use crate::trainer::{fit_instrumented, DataRefs, EpochMeasure, FitContext, Iterate, TrainConfig};
+use crate::trainer::{fit_instrumented, DataRefs, FitContext, Iterate, TrainConfig};
 use pnc_core::PrintedNetwork;
 
 /// Result of the fine-tuning phase.
@@ -51,12 +52,8 @@ pub fn finetune(
     let before_power = hard_power(net, data.x_train)?;
 
     let pruned = net.build_masks();
-    // A shape mismatch inside the feasibility probe (impossible once the
-    // fit loop has bound the same inputs) counts as infeasible.
-    let measure = |it: &Iterate<'_>| EpochMeasure {
-        power_watts: None,
-        feasible: it.hard_power().is_ok_and(|p| p <= budget_watts),
-    };
+    let budget = [ConstraintKind::Power { budget_watts }];
+    let measure = |it: &Iterate<'_>| epoch_measure(&budget, it);
     let report = fit_instrumented(
         net,
         data,

@@ -26,7 +26,7 @@
 //!   Table I and the series of Figs. 4 and 5.
 //! * [`multi`] — the paper's future-work extension: several
 //!   simultaneous constraints (power + device count), each with its own
-//!   multiplier.
+//!   multiplier, run through the same outer loop as [`auglag`].
 //! * [`observer`] — non-global instrumentation: a [`TrainObserver`]
 //!   trait threaded through the trainers, with a telemetry bridge that
 //!   turns epochs, outer iterations and rescue phases into structured

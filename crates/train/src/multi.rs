@@ -11,6 +11,9 @@
 //! λ_k ← max(0, λ_k + μ·c_k)
 //! ```
 //!
+//! It runs the outer loop of [`crate::auglag::train_auglag_observed`]
+//! over the whole set, without that trainer's power-only rescue.
+//!
 //! Two constraint families are built in:
 //!
 //! * [`ConstraintKind::Power`] — the paper's `P(θ, q) ≤ P̄`.
@@ -20,12 +23,13 @@
 //!   is the paper's `#Dev` metric; constraining it directly targets
 //!   substrate area and yield rather than energy.
 
+use crate::auglag::outer_loop;
 use crate::error::TrainError;
 use crate::observer::NoopObserver;
-use crate::trainer::{fit_instrumented, DataRefs, EpochMeasure, FitContext, Iterate, TrainConfig};
+use crate::trainer::{DataRefs, EpochMeasure, Iterate, TrainConfig};
 use pnc_autodiff::{Tape, Var};
 use pnc_core::activation::{devices_per_af, DEVICES_PER_NEGATION};
-use pnc_core::count::{soft_af_count, soft_neg_count};
+use pnc_core::count::{soft_af_count, soft_neg_count, CountConfig};
 use pnc_core::network::BoundNetwork;
 use pnc_core::{CoreError, PrintedNetwork};
 
@@ -45,41 +49,41 @@ pub enum ConstraintKind {
 }
 
 impl ConstraintKind {
+    /// The budget, in watts or devices.
+    pub(crate) fn budget(&self) -> f64 {
+        match *self {
+            ConstraintKind::Power { budget_watts } => budget_watts,
+            ConstraintKind::DeviceCount { budget_devices } => budget_devices,
+        }
+    }
+
     /// Builds the normalized constraint node `c = value/budget − 1` on
-    /// the tape for the current bound network.
-    fn build(&self, tape: &mut Tape, bound: &BoundNetwork, net: &PrintedNetwork) -> Var {
-        match *self {
-            ConstraintKind::Power { budget_watts } => {
-                let ratio = tape.mul_scalar(bound.power, 1.0 / budget_watts);
-                tape.add_scalar(ratio, -1.0)
-            }
-            ConstraintKind::DeviceCount { budget_devices } => {
-                let count = soft_device_total(tape, bound, net);
-                let ratio = tape.mul_scalar(count, 1.0 / budget_devices);
-                tape.add_scalar(ratio, -1.0)
-            }
+    /// the tape for the current bound network, the value being the
+    /// differentiable (soft-count) power or device count.
+    pub(crate) fn build(&self, tape: &mut Tape, bound: &BoundNetwork, soft: &SoftCount) -> Var {
+        let value = match self {
+            ConstraintKind::Power { .. } => bound.power,
+            ConstraintKind::DeviceCount { .. } => soft.total(tape, bound),
+        };
+        normalized(tape, value, self.budget()).1
+    }
+
+    /// Hard (indicator) value on a training iterate: power in watts,
+    /// priced from the iterate's recorded forward, or the device count.
+    pub(crate) fn value(&self, it: &Iterate<'_>) -> Result<f64, CoreError> {
+        match self {
+            ConstraintKind::Power { .. } => it.hard_power(),
+            ConstraintKind::DeviceCount { .. } => Ok(it.network().device_count() as f64),
         }
     }
 
-    /// Hard (indicator) evaluation of the constraint on a training
-    /// iterate: `value/budget − 1`, with power priced from the
-    /// iterate's recorded forward.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InputWidthMismatch`] when the training
-    /// inputs disagree with the network topology.
-    pub fn violation(&self, it: &Iterate<'_>) -> Result<f64, CoreError> {
-        match *self {
-            ConstraintKind::Power { budget_watts } => Ok(it.hard_power()? / budget_watts - 1.0),
-            ConstraintKind::DeviceCount { budget_devices } => {
-                Ok(it.network().device_count() as f64 / budget_devices - 1.0)
-            }
-        }
+    /// The normalized constraint `value/budget − 1` of a hard value.
+    pub(crate) fn normalize(&self, value: f64) -> f64 {
+        value / self.budget() - 1.0
     }
 
-    /// [`ConstraintKind::violation`] of `net` on the inputs `x`, priced
-    /// with a plain forward.
+    /// Hard (indicator) violation `value/budget − 1` of `net` on the
+    /// inputs `x`, priced with a plain forward.
     ///
     /// # Errors
     ///
@@ -90,48 +94,93 @@ impl ConstraintKind {
         net: &PrintedNetwork,
         x: &pnc_linalg::Matrix,
     ) -> Result<f64, CoreError> {
-        self.violation(&Iterate::new(net, x))
+        Ok(self.normalize(self.value(&Iterate::new(net, x))?))
     }
 }
 
-/// Differentiable total device count of a bound network: crossbar
-/// resistors (soft indicators) + soft activation and negation counts,
-/// weighted by the devices each circuit costs.
+/// `value/budget` and the normalized constraint `value/budget − 1` on
+/// the tape.
+pub(crate) fn normalized(tape: &mut Tape, value: Var, budget: f64) -> (Var, Var) {
+    let ratio = tape.mul_scalar(value, 1.0 / budget);
+    (ratio, tape.add_scalar(ratio, -1.0))
+}
+
+/// Per-epoch hard measurement of an iterate against `constraints`: it
+/// is feasible when every hard value is within its budget, and the
+/// power constraint's value is the epoch's power reading. A shape
+/// mismatch (impossible once the fit loop has bound the same inputs)
+/// counts as infeasible instead of panicking.
+pub(crate) fn epoch_measure(constraints: &[ConstraintKind], it: &Iterate<'_>) -> EpochMeasure {
+    let mut measured = EpochMeasure::unconstrained();
+    for c in constraints {
+        match c.value(it) {
+            Ok(v) => {
+                if let ConstraintKind::Power { .. } = c {
+                    measured.power_watts = Some(v);
+                }
+                measured.feasible &= v <= c.budget();
+            }
+            Err(_) => measured.feasible = false,
+        }
+    }
+    measured
+}
+
+/// The differentiable total device count: crossbar resistors (soft
+/// indicators) + soft activation and negation counts, weighted by the
+/// devices each circuit costs. Holds what it reads from the network,
+/// once per run: the count configuration and the activation's cost.
 ///
 /// Uses a deliberately *gentler* sigmoid than the reporting
 /// configuration: a sharp indicator carries gradient only for weights
 /// sitting right at the pruning threshold, so constraint pressure would
 /// never reach the bulk of the conductances. The gentle relaxation
 /// trades a small counting bias for useful gradients everywhere.
-pub fn soft_device_total(tape: &mut Tape, bound: &BoundNetwork, net: &PrintedNetwork) -> Var {
-    let mut cfg = net.config().count;
-    cfg.steepness = (cfg.steepness / 20.0).max(5.0);
-    let af_cost = devices_per_af(net.activation().kind()) as f64;
-    let mut total: Option<Var> = None;
-    for (i, layer) in bound.layers.iter().enumerate() {
-        // Crossbar resistors: Σ σ(k(|θ| − τ)).
-        let a = tape.abs(layer.theta);
-        let shifted = tape.add_scalar(a, -cfg.threshold);
-        let scaled = tape.mul_scalar(shifted, cfg.steepness);
-        let sig = tape.sigmoid(scaled);
-        let resistors = tape.sum_all(sig);
+pub(crate) struct SoftCount {
+    cfg: CountConfig,
+    af_devices: f64,
+}
 
-        let n_af = soft_af_count(tape, layer.theta, &cfg);
-        let inputs = tape.shape(layer.theta).0 - 2;
-        let n_neg = soft_neg_count(tape, layer.theta, inputs, &cfg);
-
-        let af_devices = tape.mul_scalar(n_af, af_cost);
-        let neg_devices = tape.mul_scalar(n_neg, DEVICES_PER_NEGATION as f64);
-        let s1 = tape.add(resistors, af_devices);
-        let layer_total = tape.add(s1, neg_devices);
-        total = Some(match total {
-            Some(t) => tape.add(t, layer_total),
-            None => layer_total,
-        });
-        let _ = i;
+impl SoftCount {
+    /// Reads the gentled count configuration and the activation's
+    /// device cost from `net`.
+    pub(crate) fn of(net: &PrintedNetwork) -> Self {
+        let mut cfg = net.config().count;
+        cfg.steepness = (cfg.steepness / 20.0).max(5.0);
+        SoftCount {
+            cfg,
+            af_devices: devices_per_af(net.activation().kind()) as f64,
+        }
     }
-    // lint: allow(L001, reason = "a PrintedNetwork always has at least one layer by construction")
-    total.expect("network has at least one layer")
+
+    /// The soft device count of `bound`.
+    pub(crate) fn total(&self, tape: &mut Tape, bound: &BoundNetwork) -> Var {
+        let cfg = &self.cfg;
+        let mut total: Option<Var> = None;
+        for layer in &bound.layers {
+            // Crossbar resistors: Σ σ(k(|θ| − τ)).
+            let a = tape.abs(layer.theta);
+            let shifted = tape.add_scalar(a, -cfg.threshold);
+            let scaled = tape.mul_scalar(shifted, cfg.steepness);
+            let sig = tape.sigmoid(scaled);
+            let resistors = tape.sum_all(sig);
+
+            let n_af = soft_af_count(tape, layer.theta, cfg);
+            let inputs = tape.shape(layer.theta).0 - 2;
+            let n_neg = soft_neg_count(tape, layer.theta, inputs, cfg);
+
+            let af_devices = tape.mul_scalar(n_af, self.af_devices);
+            let neg_devices = tape.mul_scalar(n_neg, DEVICES_PER_NEGATION as f64);
+            let s1 = tape.add(resistors, af_devices);
+            let layer_total = tape.add(s1, neg_devices);
+            total = Some(match total {
+                Some(t) => tape.add(t, layer_total),
+                None => layer_total,
+            });
+        }
+        // lint: allow(L001, reason = "a PrintedNetwork always has at least one layer by construction")
+        total.expect("network has at least one layer")
+    }
 }
 
 /// Multi-constraint trainer settings.
@@ -160,7 +209,9 @@ pub struct MultiConstraintReport {
     pub val_accuracy: f64,
 }
 
-/// Runs the multi-constraint augmented Lagrangian, mutating `net`.
+/// Runs the multi-constraint augmented Lagrangian, mutating `net`: the
+/// outer loop of [`crate::auglag::train_auglag_observed`] over every
+/// constraint, warm-started, unobserved and without a rescue phase.
 ///
 /// # Errors
 ///
@@ -177,74 +228,7 @@ pub fn train_multi_constraint(
     cfg: &MultiConstraintConfig,
 ) -> Result<MultiConstraintReport, TrainError> {
     assert!(!cfg.constraints.is_empty(), "no constraints given");
-    assert!(cfg.mu > 0.0, "mu must be positive");
-
-    let mut lambdas = vec![0.0f64; cfg.constraints.len()];
-    let mut best_params = net.param_values();
-    let mut best_key = (false, f64::NEG_INFINITY);
-
-    for _ in 0..cfg.outer_iters {
-        let lam = lambdas.clone();
-        let constraints = cfg.constraints.clone();
-        let mu = cfg.mu;
-        // The objective needs `net` for device-count weights, but the fit
-        // also borrows it mutably; clone the immutable configuration
-        // bits we need instead.
-        let net_snapshot = net.clone();
-
-        let objective = move |tape: &mut Tape, bound: &BoundNetwork, ce: Var| {
-            let mut total = ce;
-            for (k, constraint) in constraints.iter().enumerate() {
-                let c = constraint.build(tape, bound, &net_snapshot);
-                let mu_c = tape.mul_scalar(c, mu);
-                let inner = tape.add_scalar(mu_c, lam[k]);
-                let act = tape.clamp_min(inner, 0.0);
-                let act_sq = tape.square(act);
-                let shifted = tape.add_scalar(act_sq, -(lam[k] * lam[k]));
-                let psi = tape.mul_scalar(shifted, 1.0 / (2.0 * mu));
-                total = tape.add(total, psi);
-            }
-            total
-        };
-        let cons2 = cfg.constraints.clone();
-        // A shape mismatch inside the feasibility probe (impossible
-        // once the fit loop has bound the same inputs) counts as
-        // infeasible instead of panicking.
-        let measure = move |it: &Iterate<'_>| EpochMeasure {
-            power_watts: None,
-            feasible: cons2
-                .iter()
-                .all(|c| c.violation(it).is_ok_and(|v| v <= 0.0)),
-        };
-        fit_instrumented(
-            net,
-            data,
-            &cfg.inner,
-            &objective,
-            &measure,
-            &FitContext::default(),
-            &mut NoopObserver,
-        )?;
-
-        // Multiplier updates on hard violations.
-        let violations: Vec<f64> = cfg
-            .constraints
-            .iter()
-            .map(|c| c.hard_violation(net, data.x_train))
-            .collect::<Result<_, _>>()?;
-        let all_ok = violations.iter().all(|&v| v <= 0.0);
-        let val_acc = net.accuracy(data.x_val, data.y_val)?;
-        let key = (all_ok, val_acc);
-        if key > best_key {
-            best_key = key;
-            best_params = net.param_values();
-        }
-        for (l, &v) in lambdas.iter_mut().zip(&violations) {
-            *l = (*l + cfg.mu * v).max(0.0);
-        }
-    }
-
-    net.set_param_values(&best_params);
+    let (_, lambdas, _) = outer_loop(net, data, cfg, true, &mut NoopObserver)?;
     let violations: Vec<f64> = cfg
         .constraints
         .iter()
@@ -318,7 +302,7 @@ mod tests {
         let x = pnc_linalg::rng::uniform_matrix(&mut pnc_linalg::rng::seeded(1), 5, 4, -0.5, 0.5);
         let mut tape = Tape::new();
         let bound = net.bind(&mut tape, &net.encode(&x).unwrap()).unwrap();
-        let soft = soft_device_total(&mut tape, &bound, &net);
+        let soft = SoftCount::of(&net).total(&mut tape, &bound);
         let soft_v = tape.scalar(soft);
         let hard = net.device_count() as f64;
         assert!(

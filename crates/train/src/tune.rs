@@ -3,8 +3,9 @@
 //! The paper selects `μ` with RayTune (Sec. IV-A1). This module is the
 //! deterministic stand-in: evaluate a log-uniform grid of candidates,
 //! score each by (feasibility, validation accuracy), and return the
-//! winner. The search is embarrassingly parallel across candidates;
-//! callers may thread it themselves if desired.
+//! winner. [`crate::experiment::run_constrained_tuned`] fans the same
+//! kind of grid out over the executor and picks its winner by the same
+//! rule.
 
 use crate::auglag::{train_auglag_observed, AugLagConfig};
 use crate::error::TrainError;
@@ -78,21 +79,21 @@ pub fn select_mu(
             power_watts: report.power_watts,
         });
     }
-    // A strict `>` keeps the first of tied candidates, the rule
-    // `experiment::run_constrained_tuned` applies; total_cmp gives a
-    // total order even if an accuracy is NaN.
-    let mut best = 0;
-    for (i, t) in trials.iter().enumerate().skip(1) {
-        let b = &trials[best];
-        if t.feasible
-            .cmp(&b.feasible)
-            .then(t.val_accuracy.total_cmp(&b.val_accuracy))
-            .is_gt()
-        {
-            best = i;
-        }
-    }
+    let best = best_candidate(trials.iter().map(|t| (t.feasible, t.val_accuracy)));
     Ok(MuSearchReport { trials, best })
+}
+
+/// Index of the best `(feasible, validation accuracy)` score: a
+/// feasible run beats an infeasible one, then higher accuracy wins, and
+/// the first candidate wins ties (`total_cmp` keeps the order total even
+/// if an accuracy is NaN). Returns 0 for no scores.
+pub(crate) fn best_candidate(scores: impl IntoIterator<Item = (bool, f64)>) -> usize {
+    // `min_by` returns the first of equal elements, so order best first.
+    scores
+        .into_iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| b.0.cmp(&a.0).then(b.1.total_cmp(&a.1)))
+        .map_or(0, |(i, _)| i)
 }
 
 #[cfg(test)]

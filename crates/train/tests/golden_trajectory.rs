@@ -11,6 +11,11 @@
 //! * The unconstrained reference pins `P_max` and its parameters.
 //! * One `run_constrained` run, the reference → augmented Lagrangian →
 //!   fine-tune pipeline the experiments use, pins its result.
+//! * One multi-constraint run (power plus device count) pins its
+//!   multipliers, violations, validation accuracy and parameters.
+//! * One augmented-Lagrangian run that ends infeasible pins the rescue:
+//!   its milestone sequence, the powers it reports and the parameters
+//!   it leaves.
 
 use pnc_core::activation::{LearnableActivation, SurrogateFidelity};
 use pnc_core::{NetworkConfig, PrintedNetwork};
@@ -22,6 +27,7 @@ use pnc_train::experiment::{
     run_constrained, unconstrained_reference, ExperimentFidelity, PreparedData,
 };
 use pnc_train::finetune::finetune;
+use pnc_train::multi::{train_multi_constraint, ConstraintKind, MultiConstraintConfig};
 use pnc_train::observer::{NoopObserver, RecordingObserver};
 use pnc_train::penalty::{train_penalty_observed, PenaltyConfig};
 use pnc_train::trainer::{DataRefs, TrainConfig};
@@ -47,6 +53,16 @@ const GOLDEN_REFERENCE: u64 = 0x26ef_e2dc_4eab_23c4;
 /// 60 % of `P_max`): budget, power, test and validation accuracy bits,
 /// then the device count and the feasibility flag.
 const GOLDEN_CONSTRAINED_RUN: u64 = 0x3f54_4020_f1e8_6fcc;
+
+/// FNV-1a digest of two smoke multi-constraint runs (power ≤ 35 % and
+/// device count ≤ 85 % of the initial network's, then 45 % and 80 %):
+/// each run's multiplier bits, violation bits, validation accuracy bits
+/// and parameters, in turn.
+const GOLDEN_MULTI: u64 = 0x3dc3_4f34_eae0_5c6b;
+/// FNV-1a digest of a rescued smoke run: every rescue milestone's
+/// stage name, round and power bits, then the final power bits and the
+/// parameters.
+const GOLDEN_RESCUE: u64 = 0x072c_28a6_c08e_be8f;
 
 fn fnv1a(mut h: u64, word: u64) -> u64 {
     for b in word.to_le_bytes() {
@@ -208,4 +224,79 @@ fn smoke_constrained_run_reproduces_its_golden_digest() {
         .fold(FNV_OFFSET, |h, v| fnv1a(h, v.to_bits()));
     let got = fnv1a(fnv1a(h, r.devices as u64), u64::from(r.feasible));
     assert_eq!(got, GOLDEN_CONSTRAINED_RUN, "{r:?}; got {got:#018x}");
+}
+
+#[test]
+fn smoke_multi_constraint_run_reproduces_its_golden_digest() {
+    // The first pair of budgets ends with both multipliers active; under
+    // the second, the best iterate depends on the device count, not on
+    // power alone.
+    let got =
+        [(0.35, 0.85), (0.45, 0.8)]
+            .iter()
+            .fold(FNV_OFFSET, |h, &(power_frac, device_frac)| {
+                let mut net = network(53);
+                let ds = Dataset::generate(DatasetId::Iris, 53);
+                let split = ds.split(53);
+                let data = DataRefs::from_split(&split);
+                let p0 = hard_power(&net, data.x_train).expect("shapes match");
+                let devices = net.device_count() as f64;
+                let cfg = MultiConstraintConfig {
+                    constraints: vec![
+                        ConstraintKind::Power {
+                            budget_watts: power_frac * p0,
+                        },
+                        ConstraintKind::DeviceCount {
+                            budget_devices: device_frac * devices,
+                        },
+                    ],
+                    mu: 2.0,
+                    outer_iters: 4,
+                    inner: TrainConfig {
+                        max_epochs: 30,
+                        ..TrainConfig::smoke()
+                    },
+                };
+                let r =
+                    train_multi_constraint(&mut net, &data, &cfg).expect("multi-constraint run");
+                let h = r
+                    .lambdas
+                    .iter()
+                    .chain(&r.violations)
+                    .chain([&r.val_accuracy])
+                    .fold(h, |h, v| fnv1a(h, v.to_bits()));
+                digest_params(h, &net)
+            });
+    assert_eq!(got, GOLDEN_MULTI, "got {got:#018x}");
+}
+
+#[test]
+fn smoke_rescue_reproduces_its_golden_digest() {
+    let mut net = network(59);
+    let ds = Dataset::generate(DatasetId::Iris, 59);
+    let split = ds.split(59);
+    let data = DataRefs::from_split(&split);
+    // No outer iterate can reach a budget this far below the initial
+    // power, so every penalty round runs and the shrink projection ends
+    // the rescue.
+    let budget = 1e-9 * hard_power(&net, data.x_train).expect("shapes match");
+    let cfg = AugLagConfig {
+        outer_iters: 1,
+        inner: TrainConfig {
+            max_epochs: 10,
+            ..TrainConfig::smoke()
+        },
+        ..AugLagConfig::smoke(budget)
+    };
+    let mut rec = RecordingObserver::new();
+    let report = train_auglag_observed(&mut net, &data, &cfg, &mut rec).expect("rescued run");
+    assert!(report.rescued && report.feasible, "{report:?}");
+    let stages: Vec<(&str, usize)> = rec.rescues.iter().map(|e| (e.stage, e.round)).collect();
+    let h = rec.rescues.iter().fold(FNV_OFFSET, |h, e| {
+        let h = e.stage.bytes().fold(h, |h, b| fnv1a(h, u64::from(b)));
+        let h = fnv1a(h, e.round as u64);
+        fnv1a(h, e.power_watts.to_bits())
+    });
+    let got = digest_params(fnv1a(h, report.power_watts.to_bits()), &net);
+    assert_eq!(got, GOLDEN_RESCUE, "rescue {stages:?}; got {got:#018x}");
 }
