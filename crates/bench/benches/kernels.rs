@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the computational kernels every
-//! experiment rests on: dense matmul, autodiff forward/backward, the
-//! SPICE Newton solver, surrogate inference and the soft device counts.
+//! experiment rests on: dense matmul (square and the workloads' skinny
+//! shapes), autodiff forward/backward, the SPICE Newton solver,
+//! surrogate inference and the soft device counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pnc_autodiff::Tape;
@@ -25,6 +26,40 @@ fn bench_matmul(c: &mut Criterion) {
             bench.iter(|| std::hint::black_box(a.matmul(&b)));
         });
     }
+    group.finish();
+}
+
+/// The skinny products the workloads run, where a register tile pays
+/// off most: a product with three output columns cannot amortize a
+/// row-at-a-time inner loop.
+fn bench_skinny(c: &mut Criterion) {
+    let mut group = c.benchmark_group("linalg/skinny");
+    let mut rng = lrng::seeded(4);
+    let mut normal = |r, c| lrng::normal_matrix(&mut rng, r, c, 0.0, 1.0);
+    // Pendigits validation crossbar in certify: 2198 rows through 18 → 3.
+    let (x, w) = (normal(2198, 18), normal(18, 3));
+    group.bench_function("matmul_2198x18x3", |bench| {
+        bench.iter(|| std::hint::black_box(x.matmul(&w)));
+    });
+    // Crossbar weight gradient: 400 training rows, 18 inputs, 3 outputs.
+    let (x, g) = (normal(400, 18), normal(400, 3));
+    group.bench_function("t_matmul_400x18t_400x3", |bench| {
+        bench.iter(|| std::hint::black_box(x.t_matmul(&g)));
+    });
+    // Transfer-coefficient MLP hidden layer (48 rows, width 24) and its
+    // backward to the layer input.
+    let (h, w) = (normal(48, 24), normal(24, 24));
+    group.bench_function("matmul_48x24x24", |bench| {
+        bench.iter(|| std::hint::black_box(h.matmul(&w)));
+    });
+    group.bench_function("matmul_t_48x24_24x24t", |bench| {
+        bench.iter(|| std::hint::black_box(h.matmul_t(&w)));
+    });
+    // Iris crossbar: 90 rows through 6 → 3.
+    let (x, w) = (normal(90, 6), normal(6, 3));
+    group.bench_function("matmul_90x6x3", |bench| {
+        bench.iter(|| std::hint::black_box(x.matmul(&w)));
+    });
     group.finish();
 }
 
@@ -119,6 +154,7 @@ fn bench_surrogates(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
+    bench_skinny,
     bench_autodiff_step,
     bench_spice,
     bench_surrogates

@@ -41,6 +41,7 @@
 pub mod cond;
 pub mod decomp;
 pub mod error;
+mod kernel;
 pub mod matrix;
 pub mod qmc;
 pub mod rng;

@@ -9,28 +9,10 @@
 //! the infallible convenience API used in hot internal code where shapes
 //! are invariants).
 
+use crate::kernel::{self, AcrossP, AlongP};
 use crate::LinalgError;
-use pnc_parallel::{Executor, ExecutorHandle};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
-
-/// Products below this flop count (`m · k · n`) always run
-/// sequentially: the per-call scoped-spawn overhead of the executor
-/// (~tens of µs) would swamp the arithmetic, and the training hot loop
-/// multiplies many small per-layer matrices.
-const PAR_MIN_FLOPS: usize = 128 * 1024;
-
-/// Row blocks handed out per worker thread. More blocks than threads
-/// lets the atomic work queue even out rows of unequal cost (the
-/// sparse-skip fast path makes pruned rows cheaper); block size only
-/// changes the partition, never the per-row arithmetic, so results are
-/// bit-identical for any value.
-const PAR_BLOCKS_PER_THREAD: usize = 4;
-
-/// The process-wide executor (respects `--threads` / `PNC_THREADS`).
-fn par_executor() -> Executor {
-    ExecutorHandle::get()
-}
 
 /// Index of the largest value; the first one wins ties, and an empty
 /// slice gives 0. The hardware argmax that turns output voltages (or
@@ -640,6 +622,12 @@ impl Matrix {
     }
 
     /// Matrix product `self · other`, returning an error on mismatch.
+    ///
+    /// Each element sums its terms over the inner index in ascending
+    /// order from `+0.0` and skips a term whose `self` factor is an
+    /// exact zero, so an `∞` or `NaN` of `other` behind it never reaches
+    /// the result. The result is bit-identical to that naive loop at any
+    /// thread count.
     pub fn try_matmul(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -650,42 +638,18 @@ impl Matrix {
         }
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
-        // ikj loop order: the inner loop walks both `other` and `out`
-        // contiguously, which matters for the full-batch training loops.
-        // Each output row depends only on one row of `self` plus all of
-        // `other`, so rows are computed independently — the row kernel
-        // below runs either sequentially or over row blocks, producing
-        // bit-identical results either way.
-        let fill_row = |i: usize, crow: &mut [f64]| {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                // lint: allow(L002, reason = "sparse-skip fast path: only a bit-exact zero may skip the accumulation")
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[p * n..(p + 1) * n];
-                for j in 0..n {
-                    crow[j] += a * orow[j];
-                }
-            }
-        };
-        let ex = par_executor();
-        if ex.threads() > 1 && m >= 2 && m * k * n >= PAR_MIN_FLOPS {
-            let rows_per_block = m.div_ceil((ex.threads() * PAR_BLOCKS_PER_THREAD).min(m));
-            ex.par_for_chunks(&mut out.data, rows_per_block * n, |block, chunk| {
-                for (r, crow) in chunk.chunks_mut(n).enumerate() {
-                    fill_row(block * rows_per_block + r, crow);
-                }
-            });
-        } else {
-            for (i, crow) in out.data.chunks_mut(n).enumerate() {
-                fill_row(i, crow);
-            }
-        }
+        kernel::product::<_, _, true>(
+            AlongP(&self.data),
+            AcrossP(&other.data, n),
+            (m, k, n),
+            &mut out.data,
+        );
         Ok(out)
     }
 
-    /// Computes `selfᵀ · other` without materializing the transpose.
+    /// Computes `selfᵀ · other` without materializing the transpose,
+    /// under the same contract as [`Matrix::try_matmul`]: terms summed
+    /// in ascending order, exact zeros of `self` skipped.
     pub fn t_matmul(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
         if self.rows != other.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -696,24 +660,19 @@ impl Matrix {
         }
         let (k, m, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
-        for p in 0..k {
-            for i in 0..m {
-                let a = self.data[p * m + i];
-                // lint: allow(L002, reason = "sparse-skip fast path: only a bit-exact zero may skip the accumulation")
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[p * n..(p + 1) * n];
-                let crow = &mut out.data[i * n..(i + 1) * n];
-                for j in 0..n {
-                    crow[j] += a * orow[j];
-                }
-            }
-        }
+        kernel::product::<_, _, true>(
+            AcrossP(&self.data, m),
+            AcrossP(&other.data, n),
+            (m, k, n),
+            &mut out.data,
+        );
         Ok(out)
     }
 
     /// Computes `self · otherᵀ` without materializing the transpose.
+    /// Terms are summed in ascending order as in
+    /// [`Matrix::try_matmul`], but none is skipped: `0 · ∞` is `NaN`
+    /// here.
     pub fn matmul_t(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
         if self.cols != other.cols {
             return Err(LinalgError::ShapeMismatch {
@@ -724,33 +683,12 @@ impl Matrix {
         }
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(m, n);
-        // Row i of the product is the dot of `self` row i with every
-        // row of `other` — row-independent, so it parallelizes over row
-        // blocks exactly like [`Matrix::try_matmul`].
-        let fill_row = |i: usize, crow: &mut [f64]| {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for (j, slot) in crow.iter_mut().enumerate() {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for p in 0..k {
-                    acc += arow[p] * brow[p];
-                }
-                *slot = acc;
-            }
-        };
-        let ex = par_executor();
-        if ex.threads() > 1 && m >= 2 && m * k * n >= PAR_MIN_FLOPS {
-            let rows_per_block = m.div_ceil((ex.threads() * PAR_BLOCKS_PER_THREAD).min(m));
-            ex.par_for_chunks(&mut out.data, rows_per_block * n, |block, chunk| {
-                for (r, crow) in chunk.chunks_mut(n).enumerate() {
-                    fill_row(block * rows_per_block + r, crow);
-                }
-            });
-        } else {
-            for (i, crow) in out.data.chunks_mut(n).enumerate() {
-                fill_row(i, crow);
-            }
-        }
+        kernel::product::<_, _, false>(
+            AlongP(&self.data),
+            AlongP(&other.data),
+            (m, k, n),
+            &mut out.data,
+        );
         Ok(out)
     }
 
@@ -925,17 +863,19 @@ mod tests {
 
     #[test]
     fn large_matmul_is_bit_identical_to_naive_reference() {
-        // Big enough (64·80·64 = 327k flops) that the row-blocked
+        // Big enough (128·80·112 = 1.15M flops) that the row-blocked
         // parallel path engages whenever the machine has > 1 core; the
         // result must still match the naive triple loop bit for bit.
+        let (m, k, n) = (128, 80, 112);
+        assert!(m * k * n >= kernel::PAR_MIN_FLOPS);
         let mut rng = crate::rng::seeded(17);
-        let a = crate::rng::uniform_matrix(&mut rng, 64, 80, -1.0, 1.0);
-        let b = crate::rng::uniform_matrix(&mut rng, 80, 64, -1.0, 1.0);
-        let mut naive = Matrix::zeros(64, 64);
-        for i in 0..64 {
-            for p in 0..80 {
+        let a = crate::rng::uniform_matrix(&mut rng, m, k, -1.0, 1.0);
+        let b = crate::rng::uniform_matrix(&mut rng, k, n, -1.0, 1.0);
+        let mut naive = Matrix::zeros(m, n);
+        for i in 0..m {
+            for p in 0..k {
                 let v = a[(i, p)];
-                for j in 0..64 {
+                for j in 0..n {
                     naive[(i, j)] += v * b[(p, j)];
                 }
             }
@@ -956,7 +896,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.5, 2.0], &[0.0, 1.0, -1.0], &[2.0, 2.0, 0.25]]);
         let expect = a.transpose().matmul(&b);
-        assert!(a.t_matmul(&b).unwrap().approx_eq(&expect, 1e-12));
+        assert_eq!(a.t_matmul(&b).unwrap(), expect);
     }
 
     #[test]
@@ -964,7 +904,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0], &[9.0, -1.0]]);
         let expect = a.matmul(&b.transpose());
-        assert!(a.matmul_t(&b).unwrap().approx_eq(&expect, 1e-12));
+        assert_eq!(a.matmul_t(&b).unwrap(), expect);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Multi-layer perceptron regressor trained with the workspace autodiff
-//! engine.
+//! Multi-layer perceptron regressor.
 //!
 //! The paper fits a "15-layer ANN" per activation function as the power
 //! surrogate. [`Mlp`] reproduces that: a configurable stack of dense
 //! layers with tanh hidden activations, trained by Adam on mean-squared
-//! error. The trained network can be replayed on an autodiff [`Tape`]
+//! error. Training computes each batch's forward and backward directly
+//! on the dense products, with the operations an autodiff tape would
+//! record. The trained network can be replayed on an autodiff [`Tape`]
 //! with its weights as constants, which is how the power model stays
 //! differentiable with respect to the *circuit design vector* during
 //! pNC training while its own weights stay frozen.
@@ -26,7 +27,7 @@ pub struct MlpConfig {
     /// Adam learning rate.
     // lint: dimensionless
     pub lr: f64,
-    /// Training epochs (full batch).
+    /// Training epochs: passes over the data, at any batch size.
     pub epochs: usize,
     /// Mini-batch size; `0` means full batch.
     pub batch_size: usize,
@@ -61,7 +62,8 @@ impl MlpConfig {
 /// Training summary returned by [`Mlp::train`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
-    /// Mean-squared error on the training set after the final epoch.
+    /// Mean-squared error of the final epoch: the row-weighted mean of
+    /// its batches' losses, each taken before that batch's update.
     // lint: dimensionless
     pub final_train_mse: f64,
     /// Epochs actually run.
@@ -119,19 +121,25 @@ impl Mlp {
     /// Panics when `x.cols() != self.input_dim()`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.input_dim(), "forward: input width mismatch");
-        let mut h = x.clone();
-        let last = self.weights.len() - 1;
-        for (i, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            h = h
-                .matmul(w)
-                .add_row_broadcast(b)
-                // lint: allow(L001, reason = "biases are built alongside weights with matching widths")
-                .expect("bias row matches layer width");
-            if i != last {
-                h.map_inplace(f64::tanh);
-            }
+        let mut h = self.layer(0, x);
+        for i in 1..self.weights.len() {
+            h = self.layer(i, &h);
         }
         h
+    }
+
+    /// Layer `i` applied to `input`: `input·Wᵢ + bᵢ`, through `tanh`
+    /// unless it is the output layer.
+    fn layer(&self, i: usize, input: &Matrix) -> Matrix {
+        let mut z = input
+            .matmul(&self.weights[i])
+            .add_row_broadcast(&self.biases[i])
+            // lint: allow(L001, reason = "biases are built alongside weights with matching widths")
+            .expect("bias row matches layer width");
+        if i + 1 < self.weights.len() {
+            z.map_inplace(f64::tanh);
+        }
+        z
     }
 
     /// Forward pass on a tape with the network weights as *constants*:
@@ -150,29 +158,14 @@ impl Mlp {
         h
     }
 
-    /// Forward pass on a tape with the weights as *parameters* (used by
-    /// [`Mlp::train`]). Returns the output plus the parameter handles in
-    /// `(weights, biases)` interleaved order.
-    fn forward_trainable(&self, tape: &mut Tape, x: Var) -> (Var, Vec<Var>) {
-        let last = self.weights.len() - 1;
-        let mut h = x;
-        let mut params = Vec::with_capacity(self.weights.len() * 2);
-        for (i, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            let wv = tape.parameter(w.clone());
-            let bv = tape.parameter(b.clone());
-            params.push(wv);
-            params.push(bv);
-            let z = tape.matmul(h, wv);
-            let z = tape.add_row(z, bv);
-            h = if i != last { tape.tanh(z) } else { z };
-        }
-        (h, params)
-    }
-
     /// Trains on `(x, y)` with mean-squared error and Adam, mutating the
     /// network in place. Streams the training-loss curve to `tel`: one
     /// `mlp_epoch` debug event per reporting stride (~50 points across
     /// the run, plus the final epoch), under an `mlp_fit` span.
+    ///
+    /// Each batch runs the forward and backward a tape would record for
+    /// this loss, without the tape; a test pins the result against a
+    /// tape trainer bit for bit.
     ///
     /// # Panics
     ///
@@ -201,6 +194,9 @@ impl Mlp {
         };
         let mut final_mse = f64::NAN;
         let stride = (cfg.epochs / 50).max(1);
+        // Adam sees the parameters interleaved as `W₀, b₀, W₁, b₁, …`.
+        let mut params: Vec<Matrix> = Vec::with_capacity(2 * self.weights.len());
+        let mut grads: Vec<Option<Matrix>> = vec![None; 2 * self.weights.len()];
 
         for epoch in 0..cfg.epochs {
             // Mini-batch order (identity when full batch).
@@ -211,30 +207,25 @@ impl Mlp {
             };
             let mut epoch_sse = 0.0;
             for chunk in order.chunks(bs) {
-                let xb = x.select_rows(chunk);
-                let yb = y.select_rows(chunk);
-                let mut tape = Tape::new();
-                let xv = tape.constant(xb);
-                let (out, params) = self.forward_trainable(&mut tape, xv);
-                let yv = tape.constant(yb);
-                let diff = tape.sub(out, yv);
-                let sq = tape.square(diff);
-                let loss = tape.mean_all(sq);
-                epoch_sse += tape.scalar(loss) * chunk.len() as f64;
-                let grads = tape.backward(loss);
+                let loss = if bs == n {
+                    self.batch_gradients(x, y, &mut grads)
+                } else {
+                    let (xb, yb) = (x.select_rows(chunk), y.select_rows(chunk));
+                    self.batch_gradients(&xb, &yb, &mut grads)
+                };
+                epoch_sse += loss * chunk.len() as f64;
 
-                // Collect current values and gradients; write back.
-                let mut values: Vec<Matrix> =
-                    params.iter().map(|&p| tape.value(p).clone()).collect();
-                let grad_opt: Vec<Option<Matrix>> =
-                    params.iter().map(|&p| grads.get(p).cloned()).collect();
-                opt.step(&mut values, &grad_opt);
-                for (k, v) in values.into_iter().enumerate() {
-                    if k % 2 == 0 {
-                        self.weights[k / 2] = v;
-                    } else {
-                        self.biases[k / 2] = v;
-                    }
+                for (w, b) in self.weights.iter_mut().zip(&mut self.biases) {
+                    params.push(std::mem::take(w));
+                    params.push(std::mem::take(b));
+                }
+                opt.step(&mut params, &grads);
+                let mut updated = params.drain(..);
+                for (w, b) in self.weights.iter_mut().zip(&mut self.biases) {
+                    // lint: allow(L001, reason = "`params` was filled from these very slots")
+                    *w = updated.next().expect("one weight per layer");
+                    // lint: allow(L001, reason = "`params` was filled from these very slots")
+                    *b = updated.next().expect("one bias per layer");
                 }
             }
             final_mse = epoch_sse / n as f64;
@@ -252,6 +243,54 @@ impl Mlp {
             final_train_mse: final_mse,
             epochs: cfg.epochs,
         }
+    }
+
+    /// Forward and backward of one batch's mean-squared error: writes
+    /// the gradient of every parameter into `grads` (`W₀, b₀, W₁, b₁, …`)
+    /// and returns the loss.
+    ///
+    /// These are the operations, in the same order, that a tape records
+    /// for `mean_all(square(sub(forward, y)))` with the weights as
+    /// parameters and `x`, `y` as constants (`MatMul`, `AddRow`, `Tanh`,
+    /// `Sub`, `Square`, `MeanAll` and their backward rules), so the
+    /// gradients are bit-identical to that tape's. The constant input
+    /// gets no gradient. The tests pin this against a tape trainer.
+    fn batch_gradients(&self, x: &Matrix, y: &Matrix, grads: &mut [Option<Matrix>]) -> f64 {
+        let last = self.weights.len() - 1;
+        // Forward: the tanh output of every hidden layer, then the
+        // linear output.
+        let mut hidden: Vec<Matrix> = Vec::with_capacity(last);
+        for i in 0..last {
+            let h = self.layer(i, hidden.last().unwrap_or(x));
+            hidden.push(h);
+        }
+        let mut g = self.layer(last, hidden.last().unwrap_or(x));
+
+        // Loss: diff = out − y, mean of diff².
+        for (d, &t) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
+            *d -= t;
+        }
+        let count = g.len() as f64;
+        let loss = g.as_slice().iter().map(|&d| d * d).sum::<f64>() / count;
+
+        // Backward: ∂loss/∂diff = (1/count) · (2·diff).
+        let scale = 1.0 / count;
+        g.map_inplace(|d| scale * (2.0 * d));
+        for i in (0..=last).rev() {
+            let input = if i == 0 { x } else { &hidden[i - 1] };
+            grads[2 * i + 1] = Some(g.sum_rows());
+            // lint: allow(L001, reason = "shapes mirror the forward pass, which validated them")
+            grads[2 * i] = Some(input.t_matmul(&g).expect("weight gradient"));
+            if i > 0 {
+                // lint: allow(L001, reason = "shapes mirror the forward pass, which validated them")
+                let mut gh = g.matmul_t(&self.weights[i]).expect("input gradient");
+                for (gv, &yv) in gh.as_mut_slice().iter_mut().zip(hidden[i - 1].as_slice()) {
+                    *gv *= 1.0 - yv * yv;
+                }
+                g = gh;
+            }
+        }
+        loss
     }
 
     /// Mean-squared error of the network on `(x, y)`.
@@ -327,6 +366,132 @@ pub fn sample_function(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tape trainer [`Mlp::train`] replaced, kept as its reference:
+    /// every batch records the forward on a fresh [`Tape`] with the
+    /// weights as parameters and backpropagates the MSE.
+    fn train_on_tape(mlp: &mut Mlp, x: &Matrix, y: &Matrix, cfg: &MlpConfig) -> TrainReport {
+        let mut rng = lrng::seeded(cfg.seed);
+        let mut opt = Adam::with_lr(cfg.lr);
+        let n = x.rows();
+        let bs = if cfg.batch_size == 0 || cfg.batch_size >= n {
+            n
+        } else {
+            cfg.batch_size
+        };
+        let mut final_mse = f64::NAN;
+        for _ in 0..cfg.epochs {
+            let order: Vec<usize> = if bs == n {
+                (0..n).collect()
+            } else {
+                lrng::permutation(&mut rng, n)
+            };
+            let mut epoch_sse = 0.0;
+            for chunk in order.chunks(bs) {
+                let mut tape = Tape::new();
+                let mut h = tape.constant(x.select_rows(chunk));
+                let mut params = Vec::new();
+                let last = mlp.weights.len() - 1;
+                for (i, (w, b)) in mlp.weights.iter().zip(&mlp.biases).enumerate() {
+                    let wv = tape.parameter(w.clone());
+                    let bv = tape.parameter(b.clone());
+                    params.push(wv);
+                    params.push(bv);
+                    let z = tape.matmul(h, wv);
+                    let z = tape.add_row(z, bv);
+                    h = if i != last { tape.tanh(z) } else { z };
+                }
+                let yv = tape.constant(y.select_rows(chunk));
+                let diff = tape.sub(h, yv);
+                let sq = tape.square(diff);
+                let loss = tape.mean_all(sq);
+                epoch_sse += tape.scalar(loss) * chunk.len() as f64;
+                let grads = tape.backward(loss);
+                let mut values: Vec<Matrix> =
+                    params.iter().map(|&p| tape.value(p).clone()).collect();
+                let grad_opt: Vec<Option<Matrix>> =
+                    params.iter().map(|&p| grads.get(p).cloned()).collect();
+                opt.step(&mut values, &grad_opt);
+                for (k, v) in values.into_iter().enumerate() {
+                    if k % 2 == 0 {
+                        mlp.weights[k / 2] = v;
+                    } else {
+                        mlp.biases[k / 2] = v;
+                    }
+                }
+            }
+            final_mse = epoch_sse / n as f64;
+        }
+        TrainReport {
+            final_train_mse: final_mse,
+            epochs: cfg.epochs,
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Trains two copies of one network, by [`Mlp::train`] and by the
+    /// tape reference, and requires every weight, bias and the final
+    /// MSE to agree bit for bit.
+    fn assert_fit_equals_tape(hidden: &[usize], outputs: usize, rows: usize, batch_size: usize) {
+        let mut rng = lrng::seeded(40 + hidden.len() as u64);
+        let x = lrng::uniform_matrix(&mut rng, rows, 3, -1.0, 1.0);
+        let y = Matrix::from_fn(rows, outputs, |i, j| {
+            (x[(i, 0)] * (j + 1) as f64).sin() + x[(i, 1)] * x[(i, 2)]
+        });
+        let mut fast = Mlp::new(3, hidden, outputs, &mut rng);
+        let mut reference = fast.clone();
+        let cfg = MlpConfig {
+            hidden: hidden.to_vec(),
+            lr: 1e-2,
+            epochs: 12,
+            batch_size,
+            seed: 11,
+        };
+        let got = fast.train(&x, &y, &cfg, &Telemetry::disabled());
+        let want = train_on_tape(&mut reference, &x, &y, &cfg);
+        assert_eq!(
+            got.final_train_mse.to_bits(),
+            want.final_train_mse.to_bits(),
+            "final mse {} vs {}",
+            got.final_train_mse,
+            want.final_train_mse
+        );
+        assert_eq!(got.epochs, want.epochs);
+        for (l, (w, rw)) in fast.weights.iter().zip(&reference.weights).enumerate() {
+            assert_eq!(bits(w), bits(rw), "layer {l} weights");
+        }
+        for (l, (b, rb)) in fast.biases.iter().zip(&reference.biases).enumerate() {
+            assert_eq!(bits(b), bits(rb), "layer {l} biases");
+        }
+    }
+
+    #[test]
+    fn fit_equals_tape_full_batch() {
+        assert_fit_equals_tape(&[24, 24], 4, 100, 0);
+        assert_fit_equals_tape(&[16, 16], 1, 100, 0);
+    }
+
+    #[test]
+    fn fit_equals_tape_shuffled_mini_batches() {
+        // 100 rows in batches of 32: three full batches and a short one.
+        assert_fit_equals_tape(&[24, 24], 4, 100, 32);
+        assert_fit_equals_tape(&[16, 16], 1, 100, 32);
+    }
+
+    #[test]
+    fn fit_equals_tape_without_hidden_layers() {
+        assert_fit_equals_tape(&[], 4, 100, 0);
+        assert_fit_equals_tape(&[], 1, 100, 32);
+    }
+
+    #[test]
+    fn fit_equals_tape_deep_stack() {
+        assert_fit_equals_tape(&[24; 6], 1, 100, 0);
+        assert_fit_equals_tape(&[24; 6], 4, 100, 32);
+    }
 
     #[test]
     fn shapes_and_dims() {
