@@ -20,9 +20,10 @@
 
 use pnc_autodiff::{Tape, Var};
 use pnc_linalg::Matrix;
+use pnc_parallel::ExecutorHandle;
 use pnc_spice::AfKind;
 use pnc_surrogate::{
-    fit_negation, fit_transfer, NegationModel, PowerSurrogate, PowerSurrogateConfig,
+    atlas, fit_negation, fit_transfer, NegationModel, PowerSurrogate, PowerSurrogateConfig,
     SurrogateError, TransferModel,
 };
 use pnc_telemetry::Telemetry;
@@ -86,19 +87,34 @@ impl LearnableActivation {
     /// streaming characterization and surrogate-training telemetry
     /// (Sobol progress, MLP loss curves, fit summaries) to `tel`.
     ///
+    /// The two fits share no data, so they run side by side
+    /// ([`atlas::join`]): the transfer fit on the caller, the power fit
+    /// on a second thread whose spans open under the caller's
+    /// `activation_fit` span. Each fit's executor calls then run
+    /// inline on its own thread. Both surrogates, and the atlas, are
+    /// the same for any `--threads`.
+    ///
     /// # Errors
     ///
-    /// Propagates surrogate fitting failures.
+    /// Propagates surrogate fitting failures, the transfer fit's first.
     pub fn fit(
         kind: AfKind,
         fidelity: &SurrogateFidelity,
         tel: &Telemetry,
     ) -> Result<Self, SurrogateError> {
         let span = tel.span("activation_fit");
-        let transfer = fit_transfer(kind, fidelity.transfer_samples, fidelity.transfer_grid, tel)?;
-        let power = PowerSurrogate::fit(kind, &fidelity.power, tel)?;
+        let _scope = tel.profiler().scope("activation_fit");
+        let parent = tel.profiler().current_span_id();
+        let (transfer, power) = atlas::join(
+            &ExecutorHandle::get(),
+            || fit_transfer(kind, fidelity.transfer_samples, fidelity.transfer_grid, tel),
+            || {
+                let _branch = tel.profiler().scope_under(parent, "power_fit");
+                PowerSurrogate::fit(kind, &fidelity.power, tel)
+            },
+        );
         drop(span);
-        Ok(Self::from_parts(kind, transfer, power))
+        Ok(Self::from_parts(kind, transfer?, power?))
     }
 
     /// Builds from already-fitted surrogates.
@@ -248,6 +264,13 @@ mod tests {
         // One for the power surrogate, one for the transfer surrogate's
         // coefficient regressor.
         assert_eq!(mlp_fit.map(|p| p.calls), Some(2), "{}", report.render());
+        // Both halves hang under the fit, whichever thread ran them.
+        let spans = tel.profiler().spans();
+        for name in ["mlp_fit", "sobol_characterization"] {
+            let found: Vec<_> = spans.iter().filter(|s| s.name == name).collect();
+            assert_eq!(found.len(), 2, "{name}");
+            assert!(found.iter().all(|s| s.parent.is_some()), "{name} is a root");
+        }
     }
 
     #[test]

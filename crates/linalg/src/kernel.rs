@@ -214,7 +214,9 @@ fn fill_rows<A: Operand, B: Operand, const SKIP: bool>(
 
 /// Writes the `m × n` product of `a` (`m × k`) and `b` (`k × n`) into
 /// `out` (length `m · n`, row-major) under the contract in the module
-/// docs. Large products fan out over blocks of whole output rows.
+/// docs. Large products fan out over blocks of whole output rows when
+/// the executor fans out (not at `--threads 1`, nor inside a join
+/// branch).
 pub(crate) fn product<A: Operand, B: Operand, const SKIP: bool>(
     a: A,
     b: B,
@@ -225,7 +227,7 @@ pub(crate) fn product<A: Operand, B: Operand, const SKIP: bool>(
         return;
     }
     let ex = ExecutorHandle::get();
-    if ex.threads() > 1 && m >= 2 && m * k * n >= PAR_MIN_FLOPS {
+    if m >= 2 && m * k * n >= PAR_MIN_FLOPS && ex.fans_out() {
         let blocks = (ex.threads() * PAR_BLOCKS_PER_THREAD).min(m);
         let rows_per_block = m.div_ceil(blocks).next_multiple_of(MR);
         ex.par_for_chunks(out, rows_per_block * n, |block, chunk| {

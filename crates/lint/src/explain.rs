@@ -131,12 +131,12 @@ const DOCS: &[RuleDoc] = &[
         id: "L010",
         title: "deterministic closures in par_map/par_reduce",
         rationale: "The executor guarantees bit-identical results across `--threads` only when \
-                    per-item closures are pure functions of their arguments. Wall-clock reads \
-                    (`Instant::now`, `SystemTime::now`), thread identity, process id, \
-                    environment reads, and locked shared accumulators (`.lock()`, \
-                    `.borrow_mut()`) all reintroduce scheduling dependence. Derive randomness \
-                    from `derive_seed(base, index)`; collect results through the executor's \
-                    index-ordered return value.",
+                    per-item closures and `join` branches are pure functions of their \
+                    arguments. Wall-clock reads (`Instant::now`, `SystemTime::now`), thread \
+                    identity, process id, environment reads, and locked shared accumulators \
+                    (`.lock()`, `.borrow_mut()`) all reintroduce scheduling dependence. \
+                    Derive randomness from `derive_seed(base, index)`; collect results through \
+                    the executor's index-ordered return value.",
         bad: "ex.par_map(&xs, |i, x| x * rng_from(SystemTime::now()))",
         good: "ex.par_map(&xs, |i, x| x * rng_from(derive_seed(base, i)))",
         suppress: "// lint: allow(L010, reason = \"…\")",

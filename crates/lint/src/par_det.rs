@@ -2,13 +2,13 @@
 //! deterministic.
 //!
 //! `pnc_parallel::par_map`/`par_try_map`/`par_reduce`/`par_for_chunks`
-//! guarantee bit-identical results across `--threads` only if the
-//! per-item closure is a pure function of its arguments. Reading the
-//! wall clock, the thread identity, the process id, or the environment
-//! inside one — or funnelling results through a locked/shared
-//! accumulator instead of the executor's index-ordered collection —
-//! reintroduces exactly the scheduling dependence the executor exists
-//! to remove.
+//! and `join` guarantee bit-identical results across `--threads` only
+//! if the per-item closure (or each join branch) is a pure function of
+//! its arguments. Reading the wall clock, the thread identity, the
+//! process id, or the environment inside one — or funnelling results
+//! through a locked/shared accumulator instead of the executor's
+//! index-ordered collection — reintroduces exactly the scheduling
+//! dependence the executor exists to remove.
 //!
 //! The rule finds every call whose name is one of the executor entry
 //! points and walks each closure argument for the forbidden reads.
@@ -20,7 +20,13 @@ use crate::rules::Finding;
 use crate::source::SourceFile;
 
 /// Executor entry points whose closures must stay deterministic.
-const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_try_map", "par_reduce", "par_for_chunks"];
+const PAR_ENTRY_POINTS: &[&str] = &[
+    "par_map",
+    "par_try_map",
+    "par_reduce",
+    "par_for_chunks",
+    "join",
+];
 
 /// Runs L010 over every fn in `parsed` (tests included — a flaky test
 /// is the failure mode this rule exists to prevent).

@@ -171,6 +171,19 @@ fn l010_wall_clock_read_inside_par_map_closure() {
 }
 
 #[test]
+fn l010_wall_clock_read_inside_a_join_branch() {
+    let src = "fn timed(ex: &Executor, xs: &[f64]) -> (f64, f64) {\n    ex.join(\n        || xs.iter().sum::<f64>(),\n        || {\n            let t = std::time::Instant::now();\n            t.elapsed().as_secs_f64()\n        },\n    )\n}\n";
+    let findings = lint_source("crates/telemetry/src/bad.rs", src);
+    assert_eq!(rules_of(&findings), ["L010"]);
+    assert_eq!(findings[0].line, 5);
+    assert!(
+        findings[0].message.contains("`join`"),
+        "{}",
+        findings[0].message
+    );
+}
+
+#[test]
 fn l010_locked_accumulator_inside_par_map_closure() {
     let src = "fn accumulate(ex: &Executor, xs: &[f64], total: &Mutex<f64>) {\n    ex.par_map(xs, |_, x| {\n        let mut guard = total.lock();\n        *guard += x;\n    });\n}\n";
     assert_eq!(

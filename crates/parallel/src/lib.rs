@@ -21,6 +21,8 @@
 //! * [`Executor::par_reduce`] maps in parallel but folds sequentially
 //!   in index order, so float accumulation order never depends on
 //!   scheduling.
+//! * [`Executor::join`] runs two independent closures side by side and
+//!   returns both results as the pair `(a(), b())`.
 //!
 //! Callers must hold up their side: closures must be pure functions of
 //! `(index, item)` — in particular, any randomness must be derived from
@@ -32,6 +34,16 @@
 //! `threads == 1` (the `--threads 1` CLI flag) runs every closure
 //! inline on the caller's thread and never spawns — byte-for-byte the
 //! code path a plain `for` loop would take.
+//!
+//! # Join branches run inline
+//!
+//! While a [`Executor::join`] branch runs, its thread is marked as
+//! inside a branch, and every executor call made there runs inline as
+//! at `threads == 1`: the two branches already occupy the threads, so
+//! fanning out again would only add threads that compete for the same
+//! cores. A drop guard clears the mark, so a panicking branch cannot
+//! leave it set. Workers of the other entry points are not marked: a
+//! fan-out nested inside a `par_map` item still fans out.
 //!
 //! # Panics and errors
 //!
@@ -46,6 +58,7 @@
 pub mod stats;
 
 use pnc_telemetry::Stopwatch;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -55,6 +68,30 @@ pub use stats::ExecutorStatsSnapshot;
 // or resolved on first lookup.
 // lint: allow(L003, reason = "the executor is configured exactly once at process start (CLI --threads); a OnceLock is the mechanism that enforces 'configured once'")
 static CONFIGURED_THREADS: OnceLock<usize> = OnceLock::new();
+
+thread_local! {
+    // lint: allow(L003, reason = "marks the thread running a join branch; executor calls consult it at entry, and passing a flag through every frame between a branch and its nested calls is not viable")
+    static IN_BRANCH: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs one [`Executor::join`] branch on the current thread, marked
+/// as inside a branch, and records its busy time. A drop guard clears
+/// the mark, also when the branch unwinds.
+fn in_branch<R>(f: impl FnOnce() -> R) -> R {
+    struct Unmark;
+    impl Drop for Unmark {
+        fn drop(&mut self) {
+            IN_BRANCH.set(false);
+        }
+    }
+    let busy = Stopwatch::start();
+    IN_BRANCH.set(true);
+    let unmark = Unmark;
+    let out = f();
+    drop(unmark);
+    stats::record_worker_busy(busy.elapsed_ns());
+    out
+}
 
 /// Global access to the process-wide executor configuration.
 ///
@@ -161,6 +198,47 @@ impl Executor {
         self.threads
     }
 
+    /// Whether a call made on the current thread may spread its work
+    /// over more than one thread: the count is above one and the
+    /// thread is not running a [`Executor::join`] branch.
+    pub fn fans_out(&self) -> bool {
+        self.threads > 1 && !IN_BRANCH.get()
+    }
+
+    /// Runs `a` and `b` and returns `(a(), b())`.
+    ///
+    /// When [`Executor::fans_out`] is false — `threads == 1`, or inside
+    /// another branch — it runs `a` and then `b` inline on the caller.
+    /// Otherwise `b` runs on one scoped thread while `a` runs on the
+    /// caller, and both threads are marked as inside a branch, so every
+    /// executor call made from either runs inline (see the crate docs).
+    /// A panic in either branch reaches the caller after both have
+    /// ended. The two closures must not depend on each other's side
+    /// effects: which one finishes first is up to the scheduler.
+    pub fn join<RA, RB, A, B>(&self, a: A, b: B) -> (RA, RB)
+    where
+        RA: Send,
+        RB: Send,
+        A: FnOnce() -> RA + Send,
+        B: FnOnce() -> RB + Send,
+    {
+        let call = Stopwatch::start();
+        if !self.fans_out() {
+            let out = (a(), b());
+            let ns = call.elapsed_ns();
+            stats::record_worker_busy(ns);
+            stats::record_call(2, 1, ns);
+            return out;
+        }
+        let out = std::thread::scope(|scope| {
+            let b = scope.spawn(|| in_branch(b));
+            let a = in_branch(a);
+            (a, b.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+        });
+        stats::record_call(2, 2, call.elapsed_ns());
+        out
+    }
+
     /// Maps `f` over `items`, returning results in item order.
     ///
     /// `f` receives `(index, &item)` so per-index seeds can be derived.
@@ -175,7 +253,7 @@ impl Executor {
     {
         let n = items.len();
         let call = Stopwatch::start();
-        if self.threads == 1 || n <= 1 {
+        if !self.fans_out() || n <= 1 {
             let out: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
             let ns = call.elapsed_ns();
             stats::record_worker_busy(ns);
@@ -247,7 +325,7 @@ impl Executor {
         F: Fn(usize, &mut [T]) + Sync,
     {
         let call = Stopwatch::start();
-        if self.threads == 1 || data.len() <= chunk_len {
+        if !self.fans_out() || data.len() <= chunk_len {
             let mut n = 0usize;
             for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
                 f(i, chunk);
@@ -410,6 +488,90 @@ mod tests {
             })
         });
         assert!(result.is_err(), "panic should cross the scope join");
+    }
+
+    #[test]
+    fn join_equals_the_sequential_pair_for_any_thread_count() {
+        let items: Vec<u64> = (0..97).collect();
+        let sum = |xs: &[u64]| xs.iter().map(|&x| x * x).sum::<u64>();
+        let expected = (
+            sum(&items),
+            items.iter().map(|&x| x + 1).collect::<Vec<_>>(),
+        );
+        for threads in [1, 2, 4] {
+            let ex = Executor::new(threads);
+            let got = ex.join(|| sum(&items), || ex.par_map(&items, |_, &x| x + 1));
+            assert_eq!(got, expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn fan_outs_inside_a_branch_run_on_the_branch_thread() {
+        let ex = Executor::new(4);
+        let items: Vec<usize> = (0..64).collect();
+        let on_own_thread = || {
+            let branch = std::thread::current().id();
+            // lint: allow(L010, reason = "asserts a branch's fan-out stays on the branch thread; thread identity is the subject under test")
+            let ids = ex.par_map(&items, |_, _| std::thread::current().id());
+            let mut chunks = vec![branch; 64];
+            ex.par_for_chunks(&mut chunks, 4, |_, chunk| {
+                // lint: allow(L010, reason = "asserts a branch's fan-out stays on the branch thread; thread identity is the subject under test")
+                chunk.fill(std::thread::current().id());
+            });
+            let nested = ex.join(
+                // lint: allow(L010, reason = "asserts a nested join stays on the branch thread; thread identity is the subject under test")
+                || std::thread::current().id(),
+                // lint: allow(L010, reason = "asserts a nested join stays on the branch thread; thread identity is the subject under test")
+                || std::thread::current().id(),
+            );
+            let inline = ids.iter().chain(&chunks).all(|&id| id == branch)
+                && nested == (branch, branch)
+                && !ex.fans_out();
+            (branch, inline)
+        };
+        let ((a, a_inline), (b, b_inline)) = ex.join(on_own_thread, on_own_thread);
+        assert_ne!(a, b, "the second branch did not get its own thread");
+        assert!(
+            a_inline && b_inline,
+            "a fan-out inside a branch left its thread"
+        );
+        assert!(ex.fans_out(), "the branch mark outlived the join");
+    }
+
+    #[test]
+    fn sequential_join_never_spawns() {
+        let here = || std::thread::current().id();
+        let caller = here();
+        assert_eq!(Executor::sequential().join(here, here), (caller, caller));
+    }
+
+    #[test]
+    fn branch_panics_reach_the_caller_and_clear_the_mark() {
+        let ex = Executor::new(4);
+        let items: Vec<usize> = (0..64).collect();
+        let caller = std::thread::current().id();
+        let fans_out_again = || {
+            // lint: allow(L010, reason = "asserts the executor spawns again after a panicking branch; thread identity is the subject under test")
+            let ids = ex.par_map(&items, |_, _| std::thread::current().id());
+            ids.iter().any(|&id| id != caller)
+        };
+        let in_a = std::panic::catch_unwind(|| ex.join(|| panic!("boom in a"), || 1));
+        assert!(in_a.is_err(), "a panic in the caller's branch was lost");
+        assert!(fans_out_again(), "the branch mark survived a panic in a");
+        let in_b = std::panic::catch_unwind(|| ex.join(|| 1, || panic!("boom in b")));
+        assert!(in_b.is_err(), "a panic in the spawned branch was lost");
+        assert!(fans_out_again(), "the branch mark survived a panic in b");
+    }
+
+    #[test]
+    fn join_is_counted_in_the_stats() {
+        for threads in [1, 2] {
+            let before = stats::snapshot();
+            Executor::new(threads).join(|| 1, || 2);
+            let after = stats::snapshot();
+            assert!(after.calls > before.calls, "threads = {threads}");
+            assert!(after.items >= before.items + 2, "threads = {threads}");
+        }
     }
 
     #[test]

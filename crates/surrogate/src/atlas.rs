@@ -15,16 +15,23 @@
 //! fingerprint cardinality, distance-vs-iterations correlation, and
 //! the per-point iteration tail.
 
+use pnc_parallel::Executor;
 use pnc_spice::observe::PointSolveStats;
 use pnc_telemetry::json::{write_escaped, Json};
 use pnc_telemetry::{Event, Level};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{LazyLock, Mutex};
 
 // lint: allow(L003, reason = "process-wide atlas collector switch; flipped once per run by the orchestrator")
 static ENABLED: AtomicBool = AtomicBool::new(false);
-// lint: allow(L003, reason = "process-wide atlas point collector; appended to only by the sequential compaction pass")
+// lint: allow(L003, reason = "process-wide atlas point collector; appended to only by the sequential compaction pass, or by join in call order")
 static POINTS: LazyLock<Mutex<Vec<AtlasPoint>>> = LazyLock::new(|| Mutex::new(Vec::new()));
+
+thread_local! {
+    // lint: allow(L003, reason = "holds the points a join branch records until both branches end, so they publish in call order; the sweep that records them is several calls below the join")
+    static HELD: RefCell<Option<Vec<AtlasPoint>>> = const { RefCell::new(None) };
+}
 
 /// Starts collecting atlas points (clears any previous collection).
 pub fn enable() {
@@ -51,10 +58,50 @@ pub fn take() -> Vec<AtlasPoint> {
 }
 
 /// Appends one point (called from the compaction pass of the Sobol
-/// characterization driver in [`crate::sampling`]).
+/// characterization driver in [`crate::sampling`]), or holds it when
+/// the current thread runs a branch of [`join`].
 pub(crate) fn record(point: AtlasPoint) {
-    // lint: allow(L001, reason = "mutex poisoning only follows a recorder panic; nothing to recover")
-    POINTS.lock().unwrap().push(point);
+    HELD.with_borrow_mut(|held| match held {
+        Some(points) => points.push(point),
+        // lint: allow(L001, reason = "mutex poisoning only follows a recorder panic; nothing to recover")
+        None => POINTS.lock().unwrap().push(point),
+    });
+}
+
+/// Runs `a` and `b` side by side through [`Executor::join`] and
+/// records the atlas points of each in call order: all of `a`'s, then
+/// all of `b`'s, as if they had run one after the other. The
+/// collection therefore does not depend on which branch finished
+/// first, and is the same for any `--threads`.
+pub fn join<RA, RB>(
+    ex: &Executor,
+    a: impl FnOnce() -> RA + Send,
+    b: impl FnOnce() -> RB + Send,
+) -> (RA, RB)
+where
+    RA: Send,
+    RB: Send,
+{
+    let ((ra, held_a), (rb, held_b)) = ex.join(|| holding(a), || holding(b));
+    for point in held_a.into_iter().chain(held_b) {
+        record(point);
+    }
+    (ra, rb)
+}
+
+/// Runs `f` with this thread's recorded points held back, and returns
+/// them with its result. A drop guard restores the outer state, so a
+/// panic cannot leave points held.
+fn holding<R>(f: impl FnOnce() -> R) -> (R, Vec<AtlasPoint>) {
+    struct Restore(Option<Vec<AtlasPoint>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            HELD.set(self.0.take());
+        }
+    }
+    let _restore = Restore(HELD.replace(Some(Vec::new())));
+    let out = f();
+    (out, HELD.take().unwrap_or_default())
 }
 
 /// One characterized Sobol design point.
@@ -447,6 +494,39 @@ mod tests {
             multi_fingerprint: false,
             nn_distance: nn,
             failed: false,
+        }
+    }
+
+    #[test]
+    fn join_records_each_branch_in_call_order() {
+        // An outer hold on this thread catches what `join` records, so
+        // the test never touches the process-wide collection.
+        let mark = |target: &str, index: u64| {
+            let mut p = point(index, 1, 0.0, 0);
+            p.target = target.to_string();
+            record(p);
+        };
+        for threads in [1, 2] {
+            let ((), held) = holding(|| {
+                join(
+                    &Executor::new(threads),
+                    || (0..3).for_each(|i| mark("transfer", i)),
+                    || (0..2).for_each(|i| mark("power", i)),
+                );
+            });
+            let order: Vec<(&str, u64)> =
+                held.iter().map(|p| (p.target.as_str(), p.index)).collect();
+            assert_eq!(
+                order,
+                [
+                    ("transfer", 0),
+                    ("transfer", 1),
+                    ("transfer", 2),
+                    ("power", 0),
+                    ("power", 1)
+                ],
+                "threads = {threads}"
+            );
         }
     }
 
